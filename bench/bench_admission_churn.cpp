@@ -80,10 +80,12 @@ int main(int argc, char** argv) {
             << " events, jobs " << cfg.jobs << ")\n\n";
   const app::ChurnResult res = app::run_churn_campaign(cfg);
 
-  Table t({"stepper", "cycles", "modechanges", "accepts", "rejects",
-           "cache-hits", "misses", "samples", "digest"});
+  Table t({"stepper", "cycles", "stepped", "ticks", "modechanges", "accepts",
+           "rejects", "cache-hits", "misses", "samples", "digest"});
   for (const app::ChurnRunResult& r : res.runs) {
     t.add_row({app::stepper_name(r.stepper), std::to_string(r.cycles_run),
+               std::to_string(r.stepper_stats.dense_ticks),
+               std::to_string(r.stepper_stats.component_ticks),
                std::to_string(r.mode_changes), std::to_string(r.accepts),
                std::to_string(r.rejects),
                std::to_string(r.cache_hits) + "/" +

@@ -14,6 +14,8 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -288,15 +290,55 @@ void emit_dse_json(int jobs, const std::string& path) {
   }
 }
 
+/// Pinned-baseline gate: the wake-list row's deterministic work counters
+/// must equal those of the committed `baseline` document exactly, on the
+/// same workload. A simulator change that moves PAL's stepper work — or a
+/// baseline nobody regenerated — fails here instead of going stale.
+std::vector<std::string> pinned_counter_problems(const json::Value& fresh,
+                                                 const std::string& baseline) {
+  std::ifstream in(baseline);
+  if (!in) return {"cannot read the pinned baseline " + baseline};
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  const std::optional<json::Value> pinned = json::parse(buf.str());
+  if (!pinned.has_value() || !validate_bench_sim(*pinned).empty())
+    return {"pinned baseline " + baseline + " is not a valid BENCH_sim document"};
+  if (pinned->at("workload") != fresh.at("workload"))
+    return {"pinned baseline " + baseline + " was measured on another workload"};
+  const auto wake_row = [](const json::Value& doc) -> const json::Value* {
+    for (const json::Value& r : doc.at("runs").as_array())
+      if (r.at("mode").as_string() == "wake_list") return &r;
+    return nullptr;
+  };
+  const json::Value* want = wake_row(*pinned);
+  const json::Value* got = wake_row(fresh);
+  if (want == nullptr || got == nullptr)
+    return {"no wake_list row to compare with the pinned baseline"};
+  std::vector<std::string> problems;
+  for (const char* key : {"dense_ticks", "skipped_cycles", "component_ticks",
+                          "horizon_queries", "wakes"}) {
+    const std::int64_t a = want->at(key).as_int();
+    const std::int64_t b = got->at(key).as_int();
+    if (a != b)
+      problems.push_back(std::string("wake_list ") + key + " " +
+                         std::to_string(b) + " differs from the pinned " +
+                         std::to_string(a) + " in " + baseline +
+                         " (regenerate it if the change is intended)");
+  }
+  return problems;
+}
+
 /// Machine-readable perf trajectory of the SIMULATOR: BENCH_sim.json with
 /// cycles/second of all three steppers — dense, global-horizon ("event")
 /// and wake-list — on the full PAL decoder, plus the outcome digest
 /// proving they agreed. Returns false on a schema violation, a stepper
-/// divergence, a checksum mismatch or an event-driven run that failed to
-/// tick fewer cycles than dense — the `sim_perf` ctest entry (label
+/// divergence, a checksum mismatch, an event-driven run that failed to
+/// tick fewer cycles than dense, or wake-list counters that differ from a
+/// given `baseline` document — the `sim_perf` ctest entry (label
 /// "perf") fails on those, never on the speedup itself, so CI stays free
 /// of machine-load flake while still pinning correctness.
-bool emit_sim_json(bool fast, const std::string& path) {
+bool emit_sim_json(bool fast, const std::string& path,
+                   const std::string& baseline) {
   app::PalSimConfig pal = app::sim_bench_pal_config(fast);
   // One synthesis serves all three stepper runs (the waveform is a pure
   // function of the scenario); sim_bench_run keeps it off the wall clock.
@@ -328,8 +370,12 @@ bool emit_sim_json(bool fast, const std::string& path) {
                          r->mode + " " + std::to_string(r->audio_checksum));
     }
   }
+  if (!baseline.empty()) {
+    for (std::string& p : pinned_counter_problems(doc, baseline))
+      problems.push_back(std::move(p));
+  }
   if (!problems.empty()) {
-    std::cout << "ERROR: BENCH_sim.json violates its schema:\n";
+    std::cout << "ERROR: BENCH_sim.json failed its checks:\n";
     for (const std::string& p : problems) std::cout << "  " << p << "\n";
   }
 
@@ -401,6 +447,7 @@ int main(int argc, char** argv) {
   int jobs = 4;
   std::string json_path = "BENCH_dse.json";
   std::string sim_json_path = "BENCH_sim.json";
+  std::string sim_baseline;
   bool sim_fast = false;
   bool sim_only = false;
   bool want_metrics = false;
@@ -415,6 +462,8 @@ int main(int argc, char** argv) {
       json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--sim-json") == 0 && i + 1 < argc) {
       sim_json_path = argv[++i];
+    } else if (std::strcmp(argv[i], "--sim-baseline") == 0 && i + 1 < argc) {
+      sim_baseline = argv[++i];
     } else if (std::strcmp(argv[i], "--sim-fast") == 0) {
       sim_fast = true;
     } else if (std::strcmp(argv[i], "--sim-only") == 0) {
@@ -432,14 +481,14 @@ int main(int argc, char** argv) {
   const bool observe =
       want_metrics || !chrome_path.empty() || !report_path.empty();
   if (sim_only) {
-    const bool ok = emit_sim_json(sim_fast, sim_json_path);
+    const bool ok = emit_sim_json(sim_fast, sim_json_path, sim_baseline);
     if (observe)
       emit_observability(sim_fast, want_metrics, chrome_path, report_path);
     return ok ? 0 : 1;
   }
 
   emit_dse_json(jobs, json_path);
-  if (!emit_sim_json(sim_fast, sim_json_path)) return 1;
+  if (!emit_sim_json(sim_fast, sim_json_path, sim_baseline)) return 1;
   if (observe)
     emit_observability(sim_fast, want_metrics, chrome_path, report_path);
 

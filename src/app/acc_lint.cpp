@@ -101,15 +101,17 @@ int main(int argc, char** argv) {
     }
     std::ostringstream buf;
     buf << f.rdbuf();
-    const std::optional<json::Value> doc = json::parse(buf.str());
-    if (!doc.has_value()) {
-      std::cerr << "acc-lint: " << path << ": invalid JSON\n";
+    json::Value doc;
+    try {
+      doc = json::parse_or_throw(buf.str());
+    } catch (const precondition_error& e) {
+      std::cerr << "acc-lint: " << path << ": " << e.what() << "\n";
       return 1;
     }
     // Report under the basename so output is stable across checkouts
     // (golden fixtures diff it byte-for-byte).
     const lint::LintReport rep =
-        lint::lint_config_json(*doc, basename_of(path), opts);
+        lint::lint_config_json(doc, basename_of(path), opts);
     if (json_out) {
       std::cout << rep.to_json().pretty() << "\n";
     } else if (!quiet || !rep.clean()) {

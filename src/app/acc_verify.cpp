@@ -135,14 +135,16 @@ int main(int argc, char** argv) {
     }
     std::ostringstream buf;
     buf << f.rdbuf();
-    const std::optional<json::Value> doc = json::parse(buf.str());
-    if (!doc.has_value()) {
-      std::cerr << "acc-verify: " << path << ": invalid JSON\n";
+    json::Value doc;
+    try {
+      doc = json::parse_or_throw(buf.str());
+    } catch (const precondition_error& e) {
+      std::cerr << "acc-verify: " << path << ": " << e.what() << "\n";
       return 1;
     }
     const std::string name = basename_of(path);
     const verify::VerifyResult res =
-        verify::verify_config_json(*doc, name, vopts, lopts);
+        verify::verify_config_json(doc, name, vopts, lopts);
     if (json_out) {
       json::Value root = res.report.to_json();
       json::Array cex;
@@ -167,7 +169,7 @@ int main(int argc, char** argv) {
       }
       if (!res.report.clean()) {
         const std::string cex =
-            verify::render_counterexample(*doc, name, res, vopts);
+            verify::render_counterexample(doc, name, res, vopts);
         if (!cex.empty()) std::cout << cex;
       }
     }

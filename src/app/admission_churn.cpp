@@ -271,6 +271,10 @@ ChurnRunResult run_admission_churn(const ChurnConfig& cfg,
     // then the mode-change protocol unplugs it at a round boundary.
     wait_for_completion(s);
     rec.reconfig_cycles = protocol.leave(s.id);
+    // Both tiles are parked for good (source exhausted, sink done): drop
+    // them from the wake-list calendar so its cost tracks live sessions.
+    sys.retire(*s.source);
+    sys.retire(*s.sink);
     s.departed = true;
     ++res.mode_changes;
     res.reconfig_cycles += rec.reconfig_cycles;
@@ -374,6 +378,7 @@ ChurnRunResult run_admission_churn(const ChurnConfig& cfg,
 
   res.cycles_run = sys.now();
   res.digest = sys.state_digest();
+  res.stepper_stats = sys.stepper_stats();
   res.cache_lookups = admission.cache_lookups();
   res.cache_hits = admission.cache_hits();
   res.accepts = admission.accepts();

@@ -121,6 +121,9 @@ struct ChurnRunResult {
   std::int64_t accepts = 0;
   std::int64_t rejects = 0;
   std::int64_t analysis_work = 0;
+  /// Work counters of the run's stepper (differ between steppers by
+  /// design; never part of the equivalence check or BENCH_admission.json).
+  sim::StepperStats stepper_stats;
 };
 
 struct ChurnResult {

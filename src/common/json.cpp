@@ -167,8 +167,14 @@ class Parser {
   Value parse_value() {
     skip_ws();
     const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      // Containers recurse; the cap turns hostile nesting into a positioned
+      // error instead of a stack overflow.
+      require(++depth_ <= kMaxDepth, "nesting deeper than 512 levels");
+      Value v = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return v;
+    }
     if (c == '"') return Value(parse_string());
     if (consume_word("true")) return Value(true);
     if (consume_word("false")) return Value(false);
@@ -280,8 +286,11 @@ class Parser {
     }
   }
 
+  static constexpr int kMaxDepth = 512;
+
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // open arrays/objects around pos_
 };
 
 }  // namespace

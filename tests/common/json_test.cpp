@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace acc::json {
 namespace {
 
@@ -89,6 +91,24 @@ TEST(Json, DeepNesting) {
   const Value* p = &v;
   for (int i = 0; i < 60; ++i) p = &p->as_array()[0];
   EXPECT_EQ(p->as_int(), 7);
+}
+
+TEST(Json, NestingDepthIsCappedWithAPositionedError) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_TRUE(parse(nested(512)).has_value());
+  EXPECT_FALSE(parse(nested(513)).has_value());
+  EXPECT_FALSE(parse(nested(200000)).has_value());  // no stack overflow
+  try {
+    (void)parse_or_throw("{\"a\": " + nested(513) + "}");
+    FAIL() << "expected a nesting error";
+  } catch (const acc::precondition_error& e) {
+    EXPECT_NE(std::string(e.what()).find("offset 517: nesting deeper than"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 //  - the BENCH_admission.json document is byte-identical across --jobs;
 //  - a rejected admission is a no-op on the running system: consulting the
 //    controller for a doomed candidate mid-stream leaves the admitted
-//    streams' cycle-exact state (and hence their audio) untouched.
+//    streams' cycle-exact state (and hence their audio) untouched;
+//  - departed sessions leave the wake-list calendar: component ticks per
+//    simulated cycle do not grow with the length of the trace.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -125,6 +127,27 @@ std::uint64_t run_with_probe(bool probe_rejection) {
 
 TEST(ChurnProperty, RejectedAdmissionIsANoOpOnAdmittedStreams) {
   EXPECT_EQ(run_with_probe(false), run_with_probe(true));
+}
+
+/// Wake-list component ticks per simulated cycle for an `events`-long trace.
+double ticks_per_cycle(std::int32_t events) {
+  const app::ChurnRunResult r = app::run_admission_churn(
+      test_config(events), sim::StepperKind::kWakeList);
+  EXPECT_GT(r.cycles_run, 0);
+  return static_cast<double>(r.stepper_stats.component_ticks) /
+         static_cast<double>(r.cycles_run);
+}
+
+TEST(ChurnProperty, WakeListTickRateDoesNotGrowWithTraceLength) {
+  // Every wake-list run starts with one dense cycle over the calendar, and
+  // the churn loop runs in short chunks. If departed sessions kept their
+  // slots, that first cycle would tick every session ever admitted, so
+  // doubling the trace would raise the rate markedly.
+  const double n = ticks_per_cycle(150);
+  const double two_n = ticks_per_cycle(300);
+  RecordProperty("ticks_per_cycle_n", std::to_string(n));
+  RecordProperty("ticks_per_cycle_2n", std::to_string(two_n));
+  EXPECT_LT(two_n / n, 1.05) << "N: " << n << ", 2N: " << two_n;
 }
 
 }  // namespace
