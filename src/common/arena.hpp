@@ -135,6 +135,13 @@ class RingBuffer {
     size_ = 0;
   }
 
+  /// Replace the contents with `other`'s, keeping this buffer's own
+  /// storage and arena (it grows the usual way when too small).
+  void copy_from(const RingBuffer& other) {
+    clear();
+    for (std::size_t i = 0; i < other.size(); ++i) push_back(other[i]);
+  }
+
  private:
   void grow() {
     const std::size_t new_cap = cap_ == 0 ? 8 : cap_ * 2;

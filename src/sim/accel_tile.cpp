@@ -241,4 +241,25 @@ void AcceleratorTile::snapshot_state(StateHasher& h) const {
   h.accounting(busy_cycles_);
 }
 
+void AcceleratorTile::copy_state_from(const Component& other) {
+  const auto& o = same_kind<AcceleratorTile>(other);
+  ACC_CHECK_MSG(contexts_.size() == o.contexts_.size(),
+                name_ + ": state copied across different context sets");
+  for (const auto& [id, kernel] : o.contexts_)
+    contexts_.at(id)->restore_state(kernel->save_state());
+  active_ = o.active_;
+  active_kernel_ = active_ < 0 ? nullptr : contexts_.at(active_).get();
+  credits_ = o.credits_;
+  input_ = o.input_;
+  pending_out_ = o.pending_out_;
+  scratch_out_ = o.scratch_out_;  // the in-core sample's outputs
+  core_busy_ = o.core_busy_;
+  core_done_at_ = o.core_done_at_;
+  pending_credit_returns_ = o.pending_credit_returns_;
+  pre_counts_ = o.pre_counts_;
+  pre_samples_ = o.pre_samples_;
+  processed_ = o.processed_;
+  busy_cycles_ = o.busy_cycles_;
+}
+
 }  // namespace acc::sim

@@ -75,6 +75,11 @@ class AcceleratorTile final : public Component {
   /// kernel futures too. processed_ is a lifetime counter (excluded);
   /// busy_cycles_ is skip-replayed accounting.
   void snapshot_state(StateHasher& h) const override;
+  /// Copies the NI, core (in-core outputs included), credit and
+  /// precompute-cache state, the counters, and every kernel context through
+  /// save_state()/restore_state(). The active kernel is re-resolved into
+  /// this tile's own context map.
+  void copy_state_from(const Component& other) override;
 
   void set_trace(TraceLog* trace) { trace_ = trace; }
   /// Opt-in metrics: tile.<name>.{samples,busy_cycles,ctx_switches}.

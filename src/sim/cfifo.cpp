@@ -210,4 +210,16 @@ void CFifo::add_pop_watcher(Component* c) {
     pop_watchers_.push_back(c);
 }
 
+void CFifo::copy_state_from(const CFifo& other) {
+  ACC_CHECK_MSG(rlag_ == other.rlag_ && wlag_ == other.wlag_,
+                "CFifo '" + name_ + "': state copied across visibility lags");
+  capacity_ = other.capacity_;
+  data_.copy_from(other.data_);
+  freed_.copy_from(other.freed_);
+  pushed_ = other.pushed_;
+  popped_ = other.popped_;
+  peak_ = other.peak_;
+  last_now_ = other.last_now_;
+}
+
 }  // namespace acc::sim

@@ -145,6 +145,11 @@ class CFifo {
   /// runs into the owning stepper's counters. Null for standalone FIFOs.
   void set_stepper_stats(StepperStats* stats) { stepper_stats_ = stats; }
 
+  /// Overwrite the queues, the capacity and the lifetime counters with
+  /// `other`'s (see Component::copy_state_from). Name, lags, fault
+  /// injector, watchers, arena and metrics handles stay this FIFO's own.
+  void copy_state_from(const CFifo& other);
+
   /// Canonical state snapshot (see sim/state_hash.hpp): queue contents and
   /// visibility deadlines are frozen protocol state; the lifetime counters
   /// (pushed_/popped_/peak_) are excluded by contract.

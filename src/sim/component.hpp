@@ -1,6 +1,7 @@
 // Base class for cycle-stepped simulator components.
 #pragma once
 
+#include "common/check.hpp"
 #include "sim/ring.hpp"
 #include "sim/state_hash.hpp"
 #include "sim/stepper_stats.hpp"
@@ -23,6 +24,18 @@ class Component {
   /// unknown subclasses safe on both paths: an empty snapshot is trivially
   /// stable, and such components are exempt from dedup-sensitive state.
   virtual void snapshot_state(StateHasher& h) const { (void)h; }
+
+  /// Overwrite this component's simulation state with `other`'s. `other`
+  /// must be the same class, built from the same configuration (the bounded
+  /// model checker forks explored states this way, see
+  /// src/verify/explorer.hpp). Wiring stays this component's own: ring,
+  /// neighbours, C-FIFOs, trace log, fault injector, wake hub and metrics
+  /// handles. The default fails ACC_CHECK, so a component without a state
+  /// copy can never be forked silently.
+  virtual void copy_state_from(const Component& other) {
+    (void)other;
+    ACC_CHECK_MSG(false, "component does not support copy_state_from");
+  }
 
   /// Event-horizon hint (see System::run and docs/performance.md). Called
   /// after every component and the ring ticked at cycle `now`; returns the
@@ -103,6 +116,14 @@ class Component {
   }
 
  protected:
+  /// `other` as this component's own class T (copy_state_from's
+  /// precondition).
+  template <typename T>
+  [[nodiscard]] static const T& same_kind(const Component& other) {
+    const T* o = dynamic_cast<const T*>(&other);
+    ACC_CHECK_MSG(o != nullptr, "copy_state_from across component kinds");
+    return *o;
+  }
 
   /// Record a granted run of `tokens` operations (>= 2) in StepperStats.
   void note_batch_run(std::int64_t tokens) {

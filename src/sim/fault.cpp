@@ -147,4 +147,12 @@ Cycle FaultInjector::worst_case_block_delay(Cycle nominal_service,
   return bound;
 }
 
+void FaultInjector::copy_state_from(const FaultInjector& other) {
+  for (std::size_t i = 0; i < sites_.size(); ++i) {
+    sites_[i].rng = other.sites_[i].rng;
+    sites_[i].quiet_until = other.sites_[i].quiet_until;
+    sites_[i].stats = other.sites_[i].stats;
+  }
+}
+
 }  // namespace acc::sim

@@ -120,6 +120,11 @@ class FaultInjector {
   [[nodiscard]] Cycle worst_case_block_delay(Cycle nominal_service,
                                              std::int64_t samples) const;
 
+  /// Overwrite every site's RNG stream, quiet window and stats with
+  /// `other`'s (see Component::copy_state_from). Site specs, the wake hub
+  /// and metrics handles stay this injector's own.
+  void copy_state_from(const FaultInjector& other);
+
   /// Wake-list plumbing (see sim/wake.hpp): every delay() trigger moves
   /// the site's quiet window, which shifts horizons derived from
   /// next_eligible — report it so cached horizons get re-derived. Null

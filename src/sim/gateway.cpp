@@ -606,4 +606,52 @@ bool ExitGateway::reclaim_notification(Cycle now) {
   return true;
 }
 
+void EntryGateway::copy_state_from(const Component& other) {
+  const auto& o = same_kind<EntryGateway>(other);
+  ACC_CHECK_MSG(streams_.size() == o.streams_.size(),
+                name_ + ": state copied across different stream sets");
+  credits_ = o.credits_;
+  completions_ = o.completions_;
+  state_ = o.state_;
+  rr_next_ = o.rr_next_;
+  active_ = o.active_;
+  loaded_context_ = o.loaded_context_;
+  busy_until_ = o.busy_until_;
+  remaining_ = o.remaining_;
+  sample_in_flight_ = o.sample_in_flight_;
+  pipeline_idle_ = o.pipeline_idle_;
+  paused_ = o.paused_;
+  drain_deadline_ = o.drain_deadline_;
+  retries_ = o.retries_;
+  credit_stall_since_ = o.credit_stall_since_;
+  credit_stall_traced_ = o.credit_stall_traced_;
+  idle_since_ = o.idle_since_;
+  stats_ = o.stats_;
+}
+
+void ExitGateway::copy_state_from(const Component& other) {
+  const auto& o = same_kind<ExitGateway>(other);
+  input_ = o.input_;
+  pending_credit_returns_ = o.pending_credit_returns_;
+  busy_ = o.busy_;
+  busy_until_ = o.busy_until_;
+  current_ = o.current_;
+  stream_ = o.stream_;
+  expected_ = o.expected_;
+  delivered_ = o.delivered_;
+  notify_at_ = o.notify_at_;
+  notify_lost_ = o.notify_lost_;
+  notify_drops_ = o.notify_drops_;
+  // The armed output C-FIFO belongs to the other system: take ours from
+  // the armed stream's route on our own entry gateway (arm() is only ever
+  // given a route's output).
+  output_ = nullptr;
+  if (o.output_ == nullptr) return;
+  ACC_CHECK_MSG(entry_ != nullptr,
+                name_ + ": armed output copied without an entry gateway");
+  for (const StreamRoute& r : entry_->streams())
+    if (r.id == stream_) output_ = r.output;
+  ACC_CHECK_MSG(output_ != nullptr, name_ + ": armed stream has no route");
+}
+
 }  // namespace acc::sim

@@ -134,6 +134,10 @@ class EntryGateway final : public Component {
   /// channel: the counters skip_to replays. completions_ and the stats_
   /// block/sample totals are lifetime data (excluded by contract).
   void snapshot_state(StateHasher& h) const override;
+  /// Copies the FSM, credits, retry and stall state, the completion logs
+  /// and the stats. Routes, chain, exit, retry policy and stall threshold
+  /// are configuration and stay this gateway's own.
+  void copy_state_from(const Component& other) override;
 
   /// Opt-in event tracing (admissions, reconfigurations, completions).
   void set_trace(TraceLog* trace) { trace_ = trace; }
@@ -260,6 +264,10 @@ class ExitGateway final : public Component {
   /// queue/DMA/notification state. delivered_ and notify_drops_ are
   /// lifetime counters (excluded); the exit keeps no per-cycle accounting.
   void snapshot_state(StateHasher& h) const override;
+  /// Copies the NI queue, DMA, arming and notification state and the
+  /// lifetime counters. The armed output C-FIFO is re-resolved through this
+  /// gateway's own entry-gateway routes.
+  void copy_state_from(const Component& other) override;
 
   /// Entry-gateway recovery poll: if the active block has fully left the
   /// pipeline but its notification is still pending or was lost, deliver

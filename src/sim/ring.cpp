@@ -128,4 +128,22 @@ void DualRing::set_fault(FaultInjector* injector) {
   credit_.set_fault(injector, FaultSite::kRingLink);
 }
 
+void Ring::copy_state_from(const Ring& other) {
+  ACC_CHECK_MSG(nodes() == other.nodes() && clockwise_ == other.clockwise_,
+                "ring state copied across ring shapes");
+  slots_ = other.slots_;
+  for (std::size_t i = 0; i < inject_.size(); ++i) {
+    inject_[i].copy_from(other.inject_[i]);
+    ejected_[i] = other.ejected_[i];
+  }
+  offset_ = other.offset_;
+  delivered_ = other.delivered_;
+  occupied_ = other.occupied_;
+  queued_ = other.queued_;
+  pending_eject_ = other.pending_eject_;
+  now_ = other.now_;
+  stall_until_ = other.stall_until_;
+  stall_cycles_ = other.stall_cycles_;
+}
+
 }  // namespace acc::sim

@@ -224,6 +224,11 @@ class Ring {
     return n;
   }
 
+  /// Overwrite slots, queues, clock, stall window and counters with
+  /// `other`'s (see Component::copy_state_from). The fault injector, wake
+  /// hub, arena and metrics handles stay this ring's own.
+  void copy_state_from(const Ring& other);
+
   /// Canonical state snapshot (see sim/state_hash.hpp). Slots are visited
   /// in NODE order through slot_at, so two rings differing only in their
   /// rotation offset — physically the same network state — hash equal.
@@ -352,6 +357,11 @@ class DualRing {
   void set_wake_hub(WakeHub* hub) {
     data_.set_wake_hub(hub);
     credit_.set_wake_hub(hub);
+  }
+
+  void copy_state_from(const DualRing& other) {
+    data_.copy_state_from(other.data_);
+    credit_.copy_state_from(other.credit_);
   }
 
   /// Arena-back both rings' injection queues (see Ring::set_arena).

@@ -227,6 +227,30 @@ class System final : public WakeHub {
   [[nodiscard]] CFifo& fifo(std::size_t i) { return *fifos_[i]; }
   [[nodiscard]] const CFifo& fifo(std::size_t i) const { return *fifos_[i]; }
 
+  /// Overwrite the simulation state of every component, C-FIFO and ring,
+  /// the clock and the stepper stats with `other`'s. `other` must have been
+  /// built the same way: the same components and C-FIFOs, in the same
+  /// order, with the same ones retired (the model checker forks one
+  /// verification model into another built from the same ModelSpec).
+  /// Wiring stays this system's own (see Component::copy_state_from). The
+  /// wake-list calendar is invalidated, so the next run() rebuilds it from
+  /// the copied state.
+  void copy_state_from(const System& other) {
+    ACC_CHECK_MSG(!processing_, "system state copied inside a wake-list cycle");
+    ACC_CHECK_MSG(components_.size() == other.components_.size() &&
+                      fifos_.size() == other.fifos_.size() &&
+                      retired_ == other.retired_,
+                  "system state copied across different layouts");
+    for (std::size_t i = 0; i < components_.size(); ++i)
+      components_[i]->copy_state_from(*other.components_[i]);
+    for (std::size_t i = 0; i < fifos_.size(); ++i)
+      fifos_[i]->copy_state_from(*other.fifos_[i]);
+    ring_.copy_state_from(other.ring_);
+    now_ = other.now_;
+    stats_ = other.stats_;
+    wake_ready_ = false;
+  }
+
   /// Canonical frozen digest of the whole system (every component in
   /// registration order, every owned C-FIFO, both rings), with deadlines
   /// canonicalized relative to now(). Equal digests mean equal futures

@@ -44,6 +44,13 @@ class TraceLog {
                                  std::string(event), value});
   }
 
+  /// Overwrite the recorded events and the drop count with `other`'s (the
+  /// cap stays this log's own).
+  void copy_from(const TraceLog& other) {
+    events_ = other.events_;
+    dropped_ = other.dropped_;
+  }
+
   [[nodiscard]] const std::vector<TraceEvent>& events() const {
     return events_;
   }

@@ -1,6 +1,7 @@
 #include "verify/explorer.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <unordered_set>
 
 #include "common/check.hpp"
@@ -62,6 +63,20 @@ bool Runner::enabled(const Action& a) const {
       return true;
   }
   return false;
+}
+
+void Runner::copy_state_from(const Runner& other) {
+  ACC_CHECK_MSG(admits_.size() == other.admits_.size() &&
+                    drops_declared_ == other.drops_declared_,
+                "runner state copied across different model specs");
+  model_.sys.copy_state_from(other.model_.sys);
+  model_.trace.copy_from(other.model_.trace);
+  model_.fault.copy_state_from(other.model_.fault);
+  violations_ = other.violations_;
+  trace_scanned_ = other.trace_scanned_;
+  admits_ = other.admits_;
+  dead_ = other.dead_;
+  advance_capped_ = other.advance_capped_;
 }
 
 void Runner::apply(const Action& a) {
@@ -271,14 +286,13 @@ void Runner::check_trace() {
   const sim::Cycle slack = (n_accels + 2) * 4 + 16;
   for (; trace_scanned_ < events.size(); ++trace_scanned_) {
     const sim::TraceEvent& e = events[trace_scanned_];
+    const auto s = static_cast<std::size_t>(e.value);
     if (e.event == "admit") {
-      admits_[static_cast<std::size_t>(e.value)].push_back(e.cycle);
+      admits_[s].cycles.push_back(e.cycle);
     } else if (e.event == "block.delivered") {
-      auto& q = admits_[static_cast<std::size_t>(e.value)];
-      if (q.empty()) continue;  // defensive: unmatched delivery
-      const sim::Cycle admitted = q.front();
-      q.erase(q.begin());
-      const auto s = static_cast<std::size_t>(e.value);
+      AdmitQueue& q = admits_[s];
+      if (q.head == q.cycles.size()) continue;  // defensive: unmatched
+      const sim::Cycle admitted = q.cycles[q.head++];
       const sharing::Time bound =
           sharing::tau_hat(model_.ms.spec, s, model_.ms.etas[s]);
       const sim::Cycle took = e.cycle - admitted;
@@ -326,17 +340,28 @@ ExploreResult explore(const ModelSpec& ms, int jobs) {
   std::vector<std::vector<Action>> frontier{{}};
   const std::size_t n_actions = catalog.size();
   ThreadPool pool(static_cast<std::size_t>(std::max(jobs, 1)));
+  // One fork target per worker, built on first use and reused across nodes
+  // and levels: copy_state_from overwrites all of its state.
+  std::vector<std::unique_ptr<Runner>> scratch(pool.size());
 
   for (std::int64_t d = 1; d <= ms.depth && !frontier.empty(); ++d) {
     std::vector<Child> children(frontier.size() * n_actions);
+    std::vector<std::int64_t> applied(frontier.size(), 0);
     for (std::size_t ni = 0; ni < frontier.size(); ++ni) {
-      for (std::size_t ai = 0; ai < n_actions; ++ai) {
-        pool.submit([&, ni, ai](std::size_t) {
-          Child& c = children[ni * n_actions + ai];
-          Runner r(ms);
-          for (const Action& a : frontier[ni]) r.apply(a);
-          if (!r.enabled(catalog[ai])) return;
+      pool.submit([&, ni](std::size_t worker) {
+        Runner node(ms);
+        for (const Action& a : frontier[ni]) node.apply(a);
+        std::int64_t n_applied =
+            static_cast<std::int64_t>(frontier[ni].size());
+        if (scratch[worker] == nullptr)
+          scratch[worker] = std::make_unique<Runner>(ms);
+        Runner& r = *scratch[worker];
+        for (std::size_t ai = 0; ai < n_actions; ++ai) {
+          if (!node.enabled(catalog[ai])) continue;
+          r.copy_state_from(node);
           r.apply(catalog[ai]);
+          ++n_applied;
+          Child& c = children[ni * n_actions + ai];
           if (!r.violations().empty()) {
             c.status = 2;
             c.violations = r.violations();
@@ -345,10 +370,12 @@ ExploreResult explore(const ModelSpec& ms, int jobs) {
             c.digest = r.digest();
             c.capped = r.advance_capped();
           }
-        });
-      }
+        }
+        applied[ni] = n_applied;
+      });
     }
     pool.wait_idle();
+    for (const std::int64_t n : applied) res.stats.actions_applied += n;
 
     // Sequential merge in (node, action) order: the first violation in
     // deterministic order wins, whatever the worker schedule was.

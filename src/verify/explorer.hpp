@@ -1,12 +1,16 @@
 // Bounded exhaustive exploration of one verification model's reachable
 // state space.
 //
-// The System is non-copyable, so the search is REPLAY-BASED: a state is its
-// action path from the initial state, and expanding a frontier node means
-// rebuilding a fresh Model (a pure function of the ModelSpec) and replaying
-// the path. Deduplication keys on System::state_digest() — the canonical
-// frozen digest with deadlines taken relative to now, so the same protocol
-// situation reached at different absolute cycles collapses.
+// A state is stored as its action path from the initial state: a live
+// Runner costs kilobytes, a path a few bytes per action, and the frontier
+// can hold a thousand states. Expanding a frontier node REPLAYS its path
+// once, on a fresh Runner (building a Model is a pure function of the
+// ModelSpec), and then FORKS every enabled child from it: the node's state
+// is copied into a per-worker scratch Runner (Runner::copy_state_from),
+// which applies the one action and yields the child's digest. Disabled
+// actions cost nothing. Deduplication keys on System::state_digest() — the
+// canonical frozen digest with deadlines taken relative to now, so the
+// same protocol situation reached at different absolute cycles collapses.
 //
 // Determinism: frontier nodes are expanded in insertion order and actions
 // in catalog order (feed s0.., drain s0.., step, run). Workers fill a
@@ -35,6 +39,9 @@ struct ExploreStats {
   std::int64_t states = 0;  // distinct canonical states reached
   std::int64_t depth = 0;   // deepest fully-expanded level
   bool truncated = false;   // a budget clipped the search
+  /// Runner::apply calls made, path replays included (a work counter; not
+  /// part of the acc-verify report).
+  std::int64_t actions_applied = 0;
 };
 
 struct ExploreResult {
@@ -52,6 +59,12 @@ struct ExploreResult {
 class Runner {
  public:
   explicit Runner(const ModelSpec& ms);
+
+  /// Make this runner's model and oracle state an exact copy of `other`'s,
+  /// which must have been built from an equal ModelSpec. Afterwards both
+  /// behave identically under the same actions, as if this runner had
+  /// replayed `other`'s path itself.
+  void copy_state_from(const Runner& other);
 
   /// Is `a` enabled in the current state? (kStep/kRun always are.)
   [[nodiscard]] bool enabled(const Action& a) const;
@@ -83,16 +96,20 @@ class Runner {
   Model model_;
   std::vector<Violation> violations_;
   std::size_t trace_scanned_ = 0;
-  /// Outstanding "admit" cycles per stream, FIFO (paired with the stream's
-  /// "block.delivered" events in order).
-  std::vector<std::vector<sim::Cycle>> admits_;
+  /// A stream's "admit" cycles in order; those from `head` on are still
+  /// waiting for their "block.delivered" event.
+  struct AdmitQueue {
+    std::vector<sim::Cycle> cycles;
+    std::size_t head = 0;
+  };
+  std::vector<AdmitQueue> admits_;  // per stream
   bool drops_declared_ = false;  // exit_notify faults are expected
   bool dead_ = false;            // an oracle fired or the model threw
   bool advance_capped_ = false;  // a kRun never reached stability
 };
 
 /// Breadth-first exploration to the spec's depth/state budgets with `jobs`
-/// replay workers. Deterministic for any `jobs` (see file header).
+/// expansion workers. Deterministic for any `jobs` (see file header).
 [[nodiscard]] ExploreResult explore(const ModelSpec& ms, int jobs);
 
 }  // namespace acc::verify

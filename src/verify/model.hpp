@@ -58,9 +58,9 @@ enum class Mutation {
 [[nodiscard]] std::optional<Mutation> mutation_from_string(std::string_view s);
 
 /// Everything needed to (re)build a verification model deterministically.
-/// Construction from a ModelSpec is a pure function — the explorer's
-/// replay-based search and its --jobs workers each build private instances
-/// that are bit-identical until stepped.
+/// Construction from a ModelSpec is a pure function — the explorer's node
+/// replays and its --jobs workers' fork targets each build private
+/// instances that are bit-identical until stepped.
 struct ModelSpec {
   sharing::SharedSystemSpec spec;
   std::vector<std::int64_t> etas;       // model block sizes, per stream
@@ -93,6 +93,9 @@ class LyingClock final : public sim::Component {
     return now + 1000;  // a lie: tick() mutates frozen state every cycle
   }
   void snapshot_state(sim::StateHasher& h) const override { h.mix(pulse_); }
+  void copy_state_from(const sim::Component& other) override {
+    pulse_ = same_kind<LyingClock>(other).pulse_;
+  }
 
  private:
   std::int64_t pulse_ = 0;
@@ -118,6 +121,9 @@ class MidRoundSwapper final : public sim::Component {
   }
   void snapshot_state(sim::StateHasher& h) const override {
     h.mix(fired_ ? 1 : 0);
+  }
+  void copy_state_from(const sim::Component& other) override {
+    fired_ = same_kind<MidRoundSwapper>(other).fired_;
   }
 
  private:

@@ -1,9 +1,11 @@
 // acc-verify model-checker tests: the clean fixture explores clean, every
 // seeded mutation fixture (tests/verify/fixtures/V0x_bad.json) raises
 // exactly its rule with a deterministically replayable counterexample, the
-// exploration is byte-identical across --jobs values, suppression keeps
-// V-rule findings visible in the JSON document, and the wake-soundness
-// audit (V05) holds over the shared randomized-chain corpus.
+// exploration is byte-identical across --jobs values, forking a state by
+// copy equals reaching it by replay, the shipped configs' search results
+// and work are pinned, suppression keeps V-rule findings visible in the
+// JSON document, and the wake-soundness audit (V05) holds over the shared
+// randomized-chain corpus.
 #include "verify/verify.hpp"
 
 #include <gtest/gtest.h>
@@ -14,26 +16,54 @@
 #include <string>
 
 #include "lint/diagnostics.hpp"
+#include "sim/proc_tile.hpp"
+#include "verify/explorer.hpp"
 #include "verify/model.hpp"
 #include "verify/wake_audit.hpp"
 
 #include "../support/random_chain.hpp"
+#include "../support/state_observe.hpp"
 
 #ifndef ACC_VERIFY_FIXTURE_DIR
 #error "build must define ACC_VERIFY_FIXTURE_DIR"
+#endif
+#ifndef ACC_EXAMPLE_CONFIG_DIR
+#error "build must define ACC_EXAMPLE_CONFIG_DIR"
 #endif
 
 namespace acc::verify {
 namespace {
 
-std::string read_fixture(const std::string& name) {
-  const std::string path = std::string(ACC_VERIFY_FIXTURE_DIR) + "/" + name;
+std::string read_file(const std::string& path) {
   std::ifstream f(path);
   EXPECT_TRUE(f.good()) << "missing fixture " << path;
   std::ostringstream buf;
   buf << f.rdbuf();
   return buf.str();
 }
+
+std::string read_fixture(const std::string& name) {
+  return read_file(std::string(ACC_VERIFY_FIXTURE_DIR) + "/" + name);
+}
+
+std::string read_example_config(const std::string& name) {
+  return read_file(std::string(ACC_EXAMPLE_CONFIG_DIR) + "/" + name);
+}
+
+/// The verification model a config describes, at the config's own budgets.
+ModelSpec model_spec_of(const std::string& text, const std::string& name) {
+  const std::optional<json::Value> doc = json::parse(text);
+  EXPECT_TRUE(doc.has_value()) << name;
+  lint::LintReport rep(name);
+  const lint::LintInput in = lint::parse_config(*doc, name, rep);
+  ModelSpec ms;
+  EXPECT_TRUE(build_model_spec(*doc, in, ms, rep)) << rep.to_text();
+  return ms;
+}
+
+constexpr const char* kShippedConfigs[] = {"fault_demo.json", "multi_radio.json",
+                                           "pal_decoder.json",
+                                           "quickstart.json"};
 
 VerifyResult verify_fixture(const std::string& name,
                             const VerifyOptions& opts = {},
@@ -129,6 +159,113 @@ TEST(VerifyDeterminism, JobsDoNotChangeTheResult) {
     EXPECT_EQ(a.states_explored, b.states_explored);
     EXPECT_EQ(a.depth_reached, b.depth_reached);
     EXPECT_EQ(a.truncated, b.truncated);
+  }
+}
+
+// Everything a Runner exposes about its state, as text: the model's
+// observable simulation state plus the oracle's own.
+std::string observe(Runner& r) {
+  Model& m = r.model();
+  std::ostringstream os;
+  os << sim::testsupport::observe_chain(m.sys, m.trace, m.fault, m.chain)
+     << "capped=" << r.advance_capped() << "\n";
+  for (const Violation& v : r.violations())
+    os << "violation " << v.rule << ": " << v.message << "\n";
+  return os.str();
+}
+
+// Seeded random walks of enabled actions. Before every step the scratch
+// runner is driven somewhere else, then overwritten with the replayed
+// runner's state; both must then be indistinguishable, and stay so after
+// the same next action — which is exactly how the explorer forks children.
+void expect_fork_equals_replay(const ModelSpec& ms, std::uint64_t seed,
+                               int steps) {
+  std::mt19937_64 rng(seed);
+  Runner replayed(ms);
+  Runner scratch(ms);
+  const std::vector<Action> catalog = replayed.action_catalog();
+  const auto pick = [&](Runner& r) {
+    std::vector<Action> enabled;
+    for (const Action& a : catalog)
+      if (r.enabled(a)) enabled.push_back(a);
+    return enabled[rng() % enabled.size()];  // step and run always are
+  };
+  for (int i = 0; i < steps; ++i) {
+    const int detour = 1 + static_cast<int>(rng() % 3);
+    for (int k = 0; k < detour; ++k) scratch.apply(pick(scratch));
+    scratch.copy_state_from(replayed);
+    ASSERT_EQ(observe(scratch), observe(replayed)) << "copy before step " << i;
+    const Action a = pick(replayed);
+    replayed.apply(a);
+    scratch.apply(a);
+    ASSERT_EQ(observe(scratch), observe(replayed))
+        << "step " << i << ": " << action_name(a);
+  }
+}
+
+TEST(VerifyFork, ForkEqualsReplayOnShippedConfigs) {
+  for (const char* cfg : kShippedConfigs) {
+    SCOPED_TRACE(cfg);
+    const ModelSpec ms = model_spec_of(read_example_config(cfg), cfg);
+    for (std::uint64_t seed = 1; seed <= 3; ++seed)
+      expect_fork_equals_replay(ms, seed, 24);
+  }
+}
+
+TEST(VerifyFork, ForkEqualsReplayOnMutationFixtures) {
+  for (const char* rule : kVRules) {
+    SCOPED_TRACE(rule);
+    const std::string name = std::string(rule) + "_bad.json";
+    const ModelSpec ms = model_spec_of(read_fixture(name), name);
+    for (std::uint64_t seed = 1; seed <= 3; ++seed)
+      expect_fork_equals_replay(ms, seed, 24);
+  }
+}
+
+// A component that cannot copy its state must never be forked silently.
+TEST(VerifyFork, ComponentWithoutStateCopyFailsLoudly) {
+  sim::ProcessorTile a("cpu0", 100);
+  sim::ProcessorTile b("cpu1", 100);
+  EXPECT_THROW(a.copy_state_from(b), invariant_error);
+  LyingClock clock;
+  MidRoundSwapper swapper(nullptr, 0);
+  EXPECT_THROW(clock.copy_state_from(swapper), invariant_error);
+}
+
+// The four shipped configs at the benchmark's budgets: the search result
+// (states, depth, truncated) is pinned for any --jobs, and so is the work,
+// counted in Runner::apply calls (path replays included). Expanding by
+// replaying the path per child made 170,486 calls on this set.
+TEST(VerifyExplore, ShippedConfigsPinnedAtBenchmarkBudgets) {
+  struct Pin {
+    const char* cfg;
+    std::int64_t states;
+    std::int64_t depth;
+    bool truncated;
+    std::int64_t actions_applied;
+  };
+  constexpr Pin kPins[] = {
+      {"fault_demo.json", 1000, 8, true, 10572},
+      {"multi_radio.json", 1000, 8, true, 10485},
+      {"pal_decoder.json", 1000, 6, true, 11076},
+      {"quickstart.json", 1000, 8, true, 10485},
+  };
+  for (const int jobs : {1, 4}) {
+    std::int64_t total = 0;
+    for (const Pin& pin : kPins) {
+      SCOPED_TRACE(std::string(pin.cfg) + " jobs " + std::to_string(jobs));
+      ModelSpec ms = model_spec_of(read_example_config(pin.cfg), pin.cfg);
+      ms.states = 1000;
+      ms.depth = 64;
+      const ExploreResult r = explore(ms, jobs);
+      EXPECT_TRUE(r.violations.empty());
+      EXPECT_EQ(r.stats.states, pin.states);
+      EXPECT_EQ(r.stats.depth, pin.depth);
+      EXPECT_EQ(r.stats.truncated, pin.truncated);
+      EXPECT_EQ(r.stats.actions_applied, pin.actions_applied);
+      total += r.stats.actions_applied;
+    }
+    EXPECT_LE(total, 45000);
   }
 }
 
