@@ -39,6 +39,9 @@ struct DseStats {
   /// Candidates answered because a component-wise-smaller vector was already
   /// known feasible (monotone pruning, upper side).
   std::int64_t pruned_feasible = 0;
+  /// Actor firings the simulations executed (firings in skipped drift
+  /// windows excluded): the machine-independent cost of the search.
+  std::int64_t firings = 0;
 
   [[nodiscard]] std::int64_t pruned() const {
     return pruned_infeasible + pruned_feasible;
@@ -55,6 +58,7 @@ struct DseStats {
     cache_misses += o.cache_misses;
     pruned_infeasible += o.pruned_infeasible;
     pruned_feasible += o.pruned_feasible;
+    firings += o.firings;
     return *this;
   }
 };

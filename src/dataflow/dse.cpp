@@ -88,6 +88,7 @@ Rational DseEngine::simulate(std::size_t worker, const CapVec& caps) {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.simulations;
     ++stats_.cache_misses;
+    stats_.firings += r.firings;
   }
   if (r.deadlocked) return Rational(0);
   return r.throughput;

@@ -6,8 +6,25 @@
 
 namespace acc::df {
 
-SelfTimedExecutor::SelfTimedExecutor(const Graph& g) : g_(g) {
-  g_.validate();
+namespace {
+
+const Graph& validated(const Graph& g) {
+  g.validate();
+  return g;
+}
+
+/// Row-major copy of a list of per-phase quanta; returns its offset.
+std::int32_t append(std::vector<std::int64_t>& out,
+                    const std::vector<std::int64_t>& v) {
+  const auto at = static_cast<std::int32_t>(out.size());
+  out.insert(out.end(), v.begin(), v.end());
+  return at;
+}
+
+}  // namespace
+
+SelfTimedExecutor::SelfTimedExecutor(const Graph& g)
+    : SelfTimedExecutor(validated(g), assume_validated) {
   for (ActorId a = 0; a < static_cast<ActorId>(g_.num_actors()); ++a) {
     // An unconstrained auto-concurrent actor could start infinitely many
     // firings at one instant; reject the model instead of hanging.
@@ -15,17 +32,39 @@ SelfTimedExecutor::SelfTimedExecutor(const Graph& g) : g_(g) {
                     "auto-concurrent actor '" + g_.actor(a).name +
                         "' needs at least one input edge");
   }
-  reset();
 }
 
 SelfTimedExecutor::SelfTimedExecutor(const Graph& g, assume_validated_t)
     : g_(g) {
+  for (ActorId a = 0; a < static_cast<ActorId>(g_.num_actors()); ++a) {
+    const Actor& actor = g_.actor(a);
+    rows_.push_back(ActorRow{static_cast<std::int32_t>(in_ports_.size()),
+                             static_cast<std::int32_t>(out_ports_.size()),
+                             static_cast<std::int32_t>(durations_.size()),
+                             static_cast<std::int32_t>(actor.phases()),
+                             actor.auto_concurrent});
+    durations_.insert(durations_.end(), actor.phase_durations.begin(),
+                      actor.phase_durations.end());
+    for (EdgeId e : g_.in_edges(a)) {
+      const Edge& edge = g_.edge(e);
+      in_ports_.push_back(Port{e, edge.src, append(rates_, edge.cons)});
+    }
+    for (EdgeId e : g_.out_edges(a)) {
+      const Edge& edge = g_.edge(e);
+      out_ports_.push_back(Port{e, edge.dst, append(rates_, edge.prod)});
+    }
+  }
+  rows_.push_back(ActorRow{static_cast<std::int32_t>(in_ports_.size()),
+                           static_cast<std::int32_t>(out_ports_.size()),
+                           static_cast<std::int32_t>(durations_.size()), 0,
+                           false});
   reset();
 }
 
 void SelfTimedExecutor::reset() {
   now_ = 0;
   seq_ = 0;
+  firings_ = 0;
   tokens_.assign(g_.num_edges(), 0);
   max_tokens_.assign(g_.num_edges(), 0);
   for (std::size_t e = 0; e < g_.num_edges(); ++e) {
@@ -35,61 +74,105 @@ void SelfTimedExecutor::reset() {
   next_phase_.assign(g_.num_actors(), 0);
   in_flight_.assign(g_.num_actors(), 0);
   completed_.assign(g_.num_actors(), 0);
+  // Every actor is a candidate until the first start_enabled().
+  candidates_.resize(g_.num_actors());
+  for (std::size_t a = 0; a < candidates_.size(); ++a)
+    candidates_[a] = static_cast<ActorId>(a);
   pending_ = {};
+  recording_ = false;
 }
 
 bool SelfTimedExecutor::enabled(ActorId a) const {
-  const Actor& actor = g_.actor(a);
-  if (!actor.auto_concurrent && in_flight_[a] > 0) return false;
+  const ActorRow& row = rows_[a];
+  if (!row.auto_concurrent && in_flight_[a] > 0) return false;
   const std::int32_t p = next_phase_[a];
-  for (EdgeId eid : g_.in_edges(a)) {
-    const Edge& e = g_.edge(eid);
-    if (tokens_[eid] < e.cons[p]) return false;
+  const std::int32_t end = rows_[a + 1].in_begin;
+  for (std::int32_t i = row.in_begin; i < end; ++i) {
+    const Port& port = in_ports_[i];
+    if (tokens_[port.edge] < rates_[port.rates + p]) return false;
   }
   return true;
 }
 
-void SelfTimedExecutor::start_firing(ActorId a) {
-  const Actor& actor = g_.actor(a);
+bool SelfTimedExecutor::record_check(ActorId a) {
+  const ActorRow& row = rows_[a];
+  // A busy serialized actor fails regardless of tokens.
+  if (!row.auto_concurrent && in_flight_[a] > 0) return false;
   const std::int32_t p = next_phase_[a];
-  for (EdgeId eid : g_.in_edges(a)) tokens_[eid] -= g_.edge(eid).cons[p];
-  const Time end = now_ + actor.phase_durations[p];
-  pending_.push(Event{end, seq_++, a, p});
+  const std::int32_t end = rows_[a + 1].in_begin;
+  bool ok = true;
+  for (std::int32_t i = row.in_begin; i < end; ++i) {
+    const Port& port = in_ports_[i];
+    if (tokens_[port.edge] < rates_[port.rates + p]) ok = false;
+  }
+  // Slack of edge e is tokens - need. A pass survives a shift by j*d_e
+  // while slack + j*d_e >= 0 on every edge; a failure survives while some
+  // failing edge keeps slack + j*d_e < 0.
+  std::int64_t bound = ok ? INT64_MAX : 0;
+  for (std::int32_t i = row.in_begin; i < end; ++i) {
+    const Port& port = in_ports_[i];
+    const std::int64_t slack = tokens_[port.edge] - rates_[port.rates + p];
+    const std::int64_t d = drift_[port.edge];
+    if (ok) {
+      if (d < 0) bound = std::min(bound, slack / -d);
+    } else if (slack < 0) {
+      bound = std::max(bound, d <= 0 ? INT64_MAX : (-slack + d - 1) / d - 1);
+    }
+  }
+  jump_bound_ = std::min(jump_bound_, bound);
+  return ok;
+}
+
+void SelfTimedExecutor::start_firing(ActorId a) {
+  const ActorRow& row = rows_[a];
+  const std::int32_t p = next_phase_[a];
+  const std::int32_t end = rows_[a + 1].in_begin;
+  for (std::int32_t i = row.in_begin; i < end; ++i) {
+    const Port& port = in_ports_[i];
+    tokens_[port.edge] -= rates_[port.rates + p];
+  }
+  const Time finish = now_ + durations_[row.durations + p];
+  pending_.push(Event{finish, seq_++, a, p});
   ++in_flight_[a];
-  next_phase_[a] =
-      static_cast<std::int32_t>((p + 1) % actor.phases());
-  if (observers_.on_firing) observers_.on_firing(a, p, now_, end);
+  ++firings_;
+  next_phase_[a] = p + 1 == row.phases ? 0 : p + 1;
+  if (observers_.on_firing) observers_.on_firing(a, p, now_, finish);
 }
 
 void SelfTimedExecutor::complete(const Event& ev) {
   const std::int32_t p = ev.phase;
-  for (EdgeId eid : g_.out_edges(ev.actor)) {
-    const Edge& e = g_.edge(eid);
-    if (e.prod[p] > 0) {
-      tokens_[eid] += e.prod[p];
-      max_tokens_[eid] = std::max(max_tokens_[eid], tokens_[eid]);
-      if (observers_.on_produce) observers_.on_produce(eid, e.prod[p], now_);
+  const std::int32_t end = rows_[ev.actor + 1].out_begin;
+  for (std::int32_t i = rows_[ev.actor].out_begin; i < end; ++i) {
+    const Port& port = out_ports_[i];
+    candidates_.push_back(port.peer);
+    const std::int64_t q = rates_[port.rates + p];
+    if (q > 0) {
+      const std::int64_t t = tokens_[port.edge] += q;
+      max_tokens_[port.edge] = std::max(max_tokens_[port.edge], t);
+      if (recording_)
+        window_max_[port.edge] = std::max(window_max_[port.edge], t);
+      if (observers_.on_produce) observers_.on_produce(port.edge, q, now_);
     }
   }
+  candidates_.push_back(ev.actor);
   --in_flight_[ev.actor];
   ++completed_[ev.actor];
 }
 
 void SelfTimedExecutor::start_enabled() {
-  // Fixpoint: zero-duration firings complete inside step(), not here, so a
-  // single sweep can only be invalidated by another start on the same actor
-  // (multi-firing enablement). Loop until no actor can start.
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (ActorId a = 0; a < static_cast<ActorId>(g_.num_actors()); ++a) {
-      while (enabled(a)) {
-        start_firing(a);
-        progress = true;
-        if (!g_.actor(a).auto_concurrent) break;
-      }
+  // Starting a firing only consumes tokens, so it never enables another
+  // actor: one ascending pass over the candidates reaches the fixpoint of
+  // an all-actor sweep, starting the same firings in the same order.
+  std::sort(candidates_.begin(), candidates_.end());
+  candidates_.erase(std::unique(candidates_.begin(), candidates_.end()),
+                    candidates_.end());
+  for (ActorId a : candidates_) {
+    while (recording_ ? record_check(a) : enabled(a)) {
+      start_firing(a);
+      if (!rows_[a].auto_concurrent) break;
     }
   }
+  candidates_.clear();
 }
 
 bool SelfTimedExecutor::step() {
@@ -172,26 +255,49 @@ struct Fnv1a64 {
 
 }  // namespace
 
-std::uint64_t SelfTimedExecutor::state_key() const {
-  // Timing-relevant state: token counts, next phases, and the relative
-  // offsets of all in-flight completions. Enumerated in the heap's pop
-  // order — (when, seq) ascending — so the hash covers exactly the bytes the
-  // old string key serialized, without the per-call heap copy + string
-  // allocation.
-  Fnv1a64 fnv;
-  for (std::int64_t t : tokens_) fnv.mix_i64(t);
-  for (std::int32_t p : next_phase_) fnv.mix_i64(p);
+void SelfTimedExecutor::sort_pending() const {
   scratch_.assign(pending_.container().begin(), pending_.container().end());
   std::sort(scratch_.begin(), scratch_.end(),
             [](const Event& a, const Event& b) {
               return std::tie(a.when, a.seq) < std::tie(b.when, b.seq);
             });
-  for (const Event& ev : scratch_) {
-    fnv.mix_i64(ev.when - now_);
-    fnv.mix_i64(ev.actor);
-    fnv.mix_i64(ev.phase);
+}
+
+SelfTimedExecutor::BoundaryKeys SelfTimedExecutor::boundary_keys(
+    std::int64_t overshoot) const {
+  // Pending events are enumerated in the heap's pop order — (when, seq)
+  // ascending — so the state hash covers exactly the words the string key
+  // serializes, without the per-call heap copy + string allocation.
+  Fnv1a64 state;
+  Fnv1a64 shape;
+  for (std::int64_t t : tokens_) state.mix_i64(t);
+  for (std::int32_t p : next_phase_) {
+    state.mix_i64(p);
+    shape.mix_i64(p);
   }
-  return fnv.h;
+  sort_pending();
+  for (const Event& ev : scratch_) {
+    for (const std::int64_t x : {ev.when - now_, std::int64_t{ev.actor},
+                                 std::int64_t{ev.phase}}) {
+      state.mix_i64(x);
+      shape.mix_i64(x);
+    }
+  }
+  shape.mix_i64(overshoot);
+  return BoundaryKeys{state.h, shape.h};
+}
+
+std::vector<std::int64_t> SelfTimedExecutor::shape(
+    std::int64_t overshoot) const {
+  std::vector<std::int64_t> v(next_phase_.begin(), next_phase_.end());
+  sort_pending();
+  for (const Event& ev : scratch_) {
+    v.push_back(ev.when - now_);
+    v.push_back(ev.actor);
+    v.push_back(ev.phase);
+  }
+  v.push_back(overshoot);
+  return v;
 }
 
 std::string SelfTimedExecutor::state_key_string() const {
@@ -253,6 +359,56 @@ std::string describe(const DeadlockReport& r, const Graph& g) {
   return os.str();
 }
 
+void SelfTimedExecutor::begin_window(std::int64_t iter,
+                                     std::int64_t iterations,
+                                     std::vector<std::int64_t> drift,
+                                     std::int64_t overshoot) {
+  window_.iterations = iterations;
+  window_.end_iter = iter + iterations;
+  window_.shape = shape(overshoot);
+  window_.tokens = tokens_;
+  window_.completed = completed_;
+  window_.now = now_;
+  window_.seq = seq_;
+  drift_ = std::move(drift);
+  window_max_ = tokens_;
+  jump_bound_ = INT64_MAX;
+  recording_ = true;
+  // The status of every actor at the window start must hold under the
+  // shift too. For an idle actor this is implied by its last check in the
+  // window (nothing changes its inputs afterwards without a re-check), so
+  // this pass mainly asserts that the candidate-only start_enabled() left
+  // the boundary a fixpoint.
+  for (ActorId a = 0; a < static_cast<ActorId>(rows_.size()) - 1; ++a) {
+    const bool started = record_check(a);
+    ACC_CHECK(!started);
+  }
+}
+
+std::int64_t SelfTimedExecutor::end_window(std::int64_t overshoot) {
+  recording_ = false;
+  for (std::size_t e = 0; e < tokens_.size(); ++e) {
+    if (tokens_[e] - window_.tokens[e] != drift_[e]) return 0;
+  }
+  if (shape(overshoot) != window_.shape) return 0;
+  return jump_bound_;
+}
+
+void SelfTimedExecutor::skip_windows(std::int64_t windows) {
+  for (std::size_t e = 0; e < tokens_.size(); ++e) {
+    tokens_[e] += windows * drift_[e];
+    max_tokens_[e] = std::max(max_tokens_[e],
+                              window_max_[e] + windows * drift_[e]);
+  }
+  for (std::size_t a = 0; a < completed_.size(); ++a)
+    completed_[a] += windows * (completed_[a] - window_.completed[a]);
+  const Time dt = windows * (now_ - window_.now);
+  const std::int64_t dseq = windows * (seq_ - window_.seq);
+  now_ += dt;
+  seq_ += dseq;
+  pending_.shift(dt, dseq);
+}
+
 ThroughputResult SelfTimedExecutor::analyze_throughput(
     ActorId reference, std::int64_t max_iterations) {
   const RepetitionVector rv = compute_repetition_vector(g_);
@@ -262,35 +418,73 @@ ThroughputResult SelfTimedExecutor::analyze_throughput(
 
   reset();
   ThroughputResult out;
+  // Observers must see every firing, so only plain stepping serves them.
+  bool may_skip = !observers_.on_firing && !observers_.on_produce;
 
   // States observed at iteration boundaries of the reference actor, keyed by
   // the 64-bit state hash. A hash collision would mis-detect a recurrence;
   // debug builds cross-check every hash against the full serialized state.
-  std::unordered_map<std::uint64_t, std::pair<Time, std::int64_t>> seen;
+  struct Seen {
+    std::int64_t iter;
+    Time now;
+    std::int64_t completed;
+  };
+  std::unordered_map<std::uint64_t, Seen> seen;
 #ifndef NDEBUG
   std::unordered_map<std::uint64_t, std::string> seen_full;
 #endif
+  // Latest boundary with each shape, with its token counts.
+  std::unordered_map<std::uint64_t,
+                     std::pair<std::int64_t, std::vector<std::int64_t>>>
+      shapes;
+  // First iteration of the current stretch of stepped (never skipped)
+  // boundaries. A recurrence within one stretch is the first repeat of the
+  // real boundary sequence there, so its period is the minimal one.
+  std::int64_t stretch_begin = 1;
+
   for (std::int64_t iter = 1; iter <= max_iterations; ++iter) {
     if (!run_until_firings(reference, iter * ref_per_iter).has_value()) {
       out.deadlocked = true;
+      out.firings = firings_;
+      recording_ = false;
       return out;
     }
-    const std::uint64_t key = state_key();
+    const std::int64_t overshoot = completed_[reference] - iter * ref_per_iter;
+    if (recording_ && iter == window_.end_iter) {
+      const std::int64_t windows = std::min(
+          end_window(overshoot),
+          (max_iterations - iter) / window_.iterations);
+      if (windows > 0) {
+        skip_windows(windows);
+        iter += windows * window_.iterations;
+        out.skipped_iterations += windows * window_.iterations;
+        stretch_begin = iter;
+        shapes.clear();
+      }
+    }
+    const BoundaryKeys keys = boundary_keys(overshoot);
 #ifndef NDEBUG
     {
       const std::string full = state_key_string();
-      const auto fit = seen_full.find(key);
+      const auto fit = seen_full.find(keys.state);
       ACC_CHECK_MSG(fit == seen_full.end() || fit->second == full,
                     "state_key 64-bit hash collision");
-      seen_full.emplace(key, full);
+      seen_full.emplace(keys.state, full);
     }
 #endif
-    const auto it = seen.find(key);
-    if (it != seen.end()) {
-      const Time t0 = it->second.first;
-      const std::int64_t f0 = it->second.second;
-      out.period = now_ - t0;
-      out.firings_in_period = completed_[reference] - f0;
+    const auto it = seen.find(keys.state);
+    if (it != seen.end() && it->second.iter < stretch_begin) {
+      // The earlier occurrence lies before a skip: states between them
+      // were never hashed, so the period could be a multiple of the
+      // minimal one. Step plainly from here until the state recurs again.
+      seen.clear();
+      shapes.clear();
+      recording_ = false;
+      may_skip = false;
+      stretch_begin = iter;
+    } else if (it != seen.end()) {
+      out.period = now_ - it->second.now;
+      out.firings_in_period = completed_[reference] - it->second.completed;
       ACC_CHECK(out.firings_in_period > 0);
       if (out.period == 0) {
         // Entire period executes in zero time: unbounded rate. Model as a
@@ -300,9 +494,25 @@ ThroughputResult SelfTimedExecutor::analyze_throughput(
         out.throughput = Rational(out.firings_in_period, out.period);
       }
       out.transient_iterations = iter;
+      out.firings = firings_;
+      recording_ = false;
       return out;
     }
-    seen.emplace(key, std::make_pair(now_, completed_[reference]));
+    seen.emplace(keys.state, Seen{iter, now_, completed_[reference]});
+    if (!may_skip || recording_) continue;
+    auto [sit, fresh] = shapes.try_emplace(keys.shape, iter, tokens_);
+    if (fresh) continue;
+    // The shape recurred with different tokens (equal tokens would have
+    // been a state recurrence): replay the same number of iterations once
+    // more, recording, to see whether the drift repeats.
+    const std::int64_t iterations = iter - sit->second.first;
+    if (iter + iterations < max_iterations) {
+      std::vector<std::int64_t> drift(tokens_);
+      for (std::size_t e = 0; e < drift.size(); ++e)
+        drift[e] -= sit->second.second[e];
+      begin_window(iter, iterations, std::move(drift), overshoot);
+    }
+    sit->second = {iter, tokens_};
   }
   throw invariant_error(
       "analyze_throughput: no periodic state within iteration budget");

@@ -13,6 +13,28 @@
 // Operational semantics: tokens are consumed at firing start and produced at
 // firing end; serialized actors (the CSDF default) have at most one firing in
 // flight; phases advance cyclically in firing-start order.
+//
+// Hot path. Starting a firing only consumes tokens, so it can never enable
+// another actor: after a completion only the completed actor and the
+// destinations of its out-edges are re-checked, in ascending id order, in
+// one pass. Per-actor port rows (edge, peer, per-phase quanta) are cached at
+// construction so an enabling check touches only flat arrays.
+//
+// Drift windows. Near a capacity threshold a buffer that is larger than the
+// steady state needs fills by a few tokens per graph iteration, and the
+// periodic state recurs only once it is full: hundreds of iterations in
+// which everything but the token counts repeats. analyze_throughput() takes
+// a *shape* of the state at every iteration boundary (the state without
+// token counts). When a shape recurs p iterations later with token
+// difference d != 0, the next p iterations are stepped while every enabling
+// check is recorded together with its slack. If that window again ends at
+// the same shape with the same d, the largest J is computed such that every
+// recorded check keeps its outcome with the tokens shifted by j*d for every
+// j <= J, and J windows are applied in closed form (tokens, clocks, pending
+// events, completion counts and max occupancy). Each skipped window is a
+// real replay shifted by d, so throughput, period and firings-in-period are
+// exact. Jumps never happen while an ExecObservers callback is set: those
+// callers must see every firing.
 #pragma once
 
 #include <cstdint>
@@ -74,8 +96,14 @@ struct ThroughputResult {
   Time period = 0;
   /// Reference-actor completions within one period.
   std::int64_t firings_in_period = 0;
-  /// Number of graph iterations executed before the periodic state recurred.
+  /// Graph iterations (executed plus skipped) up to the one at which the
+  /// periodic state was detected. With drift windows skipped the detection
+  /// may come later than plain stepping would find it.
   std::int64_t transient_iterations = 0;
+  /// Iterations of transient_iterations that were skipped in closed form.
+  std::int64_t skipped_iterations = 0;
+  /// Actor firings the analysis actually executed (skipped ones excluded).
+  std::int64_t firings = 0;
 };
 
 /// Tag for the validation-skipping constructor: the caller vouches that the
@@ -115,7 +143,8 @@ class SelfTimedExecutor {
 
   /// Detect the periodic steady state by state recurrence at iteration
   /// boundaries of `reference` and return the exact throughput. Requires a
-  /// consistent graph. `max_iterations` bounds the search.
+  /// consistent graph. `max_iterations` bounds the search (skipped drift
+  /// windows count against it).
   ThroughputResult analyze_throughput(ActorId reference,
                                       std::int64_t max_iterations = 100000);
 
@@ -145,44 +174,117 @@ class SelfTimedExecutor {
     }
   };
 
-  /// Start every enabled firing at the current time (fixpoint: starting one
-  /// firing may enable zero-duration chains).
+  /// Cached port row of an actor: the edge, the actor at its other end and
+  /// the offset of its per-phase quanta in rates_.
+  struct Port {
+    EdgeId edge;
+    ActorId peer;
+    std::int32_t rates;
+  };
+  /// Cached per-actor data. Port ranges end where the next row's begin
+  /// (rows_ has a sentinel entry).
+  struct ActorRow {
+    std::int32_t in_begin;
+    std::int32_t out_begin;
+    std::int32_t durations;  // offset into durations_
+    std::int32_t phases;
+    bool auto_concurrent;
+  };
+
+  /// A drift window being recorded by analyze_throughput.
+  struct DriftWindow {
+    std::int64_t iterations = 0;  // p
+    std::int64_t end_iter = 0;
+    std::vector<std::int64_t> shape;  // exact shape at the window start
+    std::vector<std::int64_t> tokens;
+    std::vector<std::int64_t> completed;
+    Time now = 0;
+    std::int64_t seq = 0;
+  };
+
+  /// Start every enabled firing among the candidate actors (those whose
+  /// enabling may have changed since the last call) at the current time.
   void start_enabled();
   [[nodiscard]] bool enabled(ActorId a) const;
+  /// enabled() while a drift window records: evaluates every in-edge and
+  /// tightens jump_bound_ so the outcome holds under a shift by j*drift_.
+  bool record_check(ActorId a);
   void start_firing(ActorId a);
   void complete(const Event& ev);
   /// Advance to the next event time and process all completions there.
   /// Returns false if no events remain.
   bool step();
 
-  /// Expose the heap's underlying storage so state_key() can enumerate
-  /// pending events without the O(n log n) pop-everything copy.
+  /// Expose the heap's underlying storage so the boundary keys can
+  /// enumerate pending events without the O(n log n) pop-everything copy.
   class EventQueue
       : public std::priority_queue<Event, std::vector<Event>, std::greater<>> {
    public:
     [[nodiscard]] const std::vector<Event>& container() const { return c; }
+    /// Add the same offsets to every event; (when, seq) order is unchanged,
+    /// so the heap stays valid.
+    void shift(Time dt, std::int64_t dseq) {
+      for (Event& ev : c) {
+        ev.when += dt;
+        ev.seq += dseq;
+      }
+    }
   };
 
-  /// Hash the timing-relevant state for recurrence detection: token counts,
-  /// next phases, and the (when - now, actor, phase) of every in-flight
-  /// completion in deterministic (when, seq) order. Allocation-free after
-  /// the first call (reuses scratch_).
-  [[nodiscard]] std::uint64_t state_key() const;
-  /// The pre-optimization serialized key; kept for the NDEBUG-off collision
-  /// check in analyze_throughput.
+  /// Hashes taken at a reference-iteration boundary. `state` covers the
+  /// timing-relevant state (token counts, next phases, and the
+  /// (when - now, actor, phase) of every in-flight completion in (when, seq)
+  /// order); `shape` covers the same without token counts plus the
+  /// reference actor's overshoot past the boundary (in-flight counts are
+  /// implied by the pending list). Allocation-free after the first call.
+  struct BoundaryKeys {
+    std::uint64_t state;
+    std::uint64_t shape;
+  };
+  [[nodiscard]] BoundaryKeys boundary_keys(std::int64_t overshoot) const;
+  /// The exact shape hashed by boundary_keys (compared at a window's end).
+  [[nodiscard]] std::vector<std::int64_t> shape(std::int64_t overshoot) const;
+  /// Pending events in (when, seq) order, into scratch_.
+  void sort_pending() const;
+  /// The pre-optimization serialized state key; kept for the NDEBUG-off
+  /// collision check in analyze_throughput.
   [[nodiscard]] std::string state_key_string() const;
 
+  /// Open a drift window of `iterations` iterations expected to drift by
+  /// `drift` (the next boundary is `iter`).
+  void begin_window(std::int64_t iter, std::int64_t iterations,
+                    std::vector<std::int64_t> drift, std::int64_t overshoot);
+  /// Close the open window; returns how many more windows may be skipped
+  /// (0 if the window did not end at its start shape with the same drift).
+  std::int64_t end_window(std::int64_t overshoot);
+  /// Apply `windows` replays of the window just closed.
+  void skip_windows(std::int64_t windows);
+
   const Graph& g_;
+  std::vector<ActorRow> rows_;  // num_actors + 1 (sentinel)
+  std::vector<Port> in_ports_;
+  std::vector<Port> out_ports_;
+  std::vector<std::int64_t> rates_;
+  std::vector<Time> durations_;
+
   Time now_ = 0;
   std::int64_t seq_ = 0;
+  std::int64_t firings_ = 0;  // firings started since reset()
   std::vector<std::int64_t> tokens_;
   std::vector<std::int64_t> max_tokens_;
   std::vector<std::int32_t> next_phase_;
   std::vector<std::int32_t> in_flight_;
   std::vector<std::int64_t> completed_;
+  std::vector<ActorId> candidates_;
   EventQueue pending_;
-  mutable std::vector<Event> scratch_;  // state_key() working storage
+  mutable std::vector<Event> scratch_;  // sort_pending() working storage
   ExecObservers observers_;
+
+  bool recording_ = false;
+  DriftWindow window_;
+  std::vector<std::int64_t> drift_;       // expected token change per window
+  std::vector<std::int64_t> window_max_;  // per-edge maximum in the window
+  std::int64_t jump_bound_ = 0;           // windows the checks allow
 };
 
 }  // namespace acc::df
