@@ -163,7 +163,9 @@ int main(int argc, char** argv) {
         [&, k](sim::Cycle now) -> sim::Cycle {
           return std::max(mids[k]->when_fill_visible(1, now),
                           audio[k]->when_space_visible(1, now));
-        }});
+        },
+        /*wake_on_push=*/{mids[k]},
+        /*wake_on_pop=*/{audio[k]}});
   }
 
   // ---- Run and report. ----

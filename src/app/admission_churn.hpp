@@ -10,7 +10,7 @@
 // The campaign is deterministic by construction: the trace, every sample,
 // and every admission decision derive from the seed alone; analysis cost is
 // counted in integer work units (never wall clock); and the same scripted
-// session sequence is replayed under all three cycle-exact steppers, whose
+// session sequence is replayed under both cycle-exact steppers, whose
 // final state digests and audio checksums must agree. The resulting
 // BENCH_admission.json is therefore bit-identical for any --jobs.
 #pragma once
@@ -79,8 +79,8 @@ struct ChurnConfig {
 
   /// Stepper runs evaluated concurrently; never changes the results.
   int jobs = 1;
-  /// Optional observability, attached to the wake-list run only (the two
-  /// reference runs stay bare so their cost is the simulation itself).
+  /// Optional observability, attached to the wake-list run only (the
+  /// dense reference run stays bare so its cost is the simulation itself).
   obs::MetricsRegistry* metrics = nullptr;
   sim::TraceLog* trace = nullptr;
 };
@@ -127,7 +127,7 @@ struct ChurnRunResult {
 };
 
 struct ChurnResult {
-  /// One run per stepper: dense, global-horizon, wake-list (fixed order).
+  /// One run per stepper: dense, wake-list (fixed order).
   std::vector<ChurnRunResult> runs;
   /// All runs produced identical decisions, digests and checksums.
   bool equivalent = false;
@@ -140,7 +140,7 @@ struct ChurnResult {
 [[nodiscard]] ChurnRunResult run_admission_churn(const ChurnConfig& cfg,
                                                  sim::StepperKind stepper);
 
-/// Replay under all three steppers (jobs-parallel) and cross-check.
+/// Replay under both steppers (jobs-parallel) and cross-check.
 [[nodiscard]] ChurnResult run_churn_campaign(const ChurnConfig& cfg);
 
 /// Lintable declaration of the churn configuration: the chain spec with the

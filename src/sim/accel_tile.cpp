@@ -47,11 +47,6 @@ void AcceleratorTile::unregister_context(StreamId id) {
 void AcceleratorTile::swap_context(StreamId id, Cycle now) {
   ACC_EXPECTS_MSG(contexts_.count(id) == 1, "unknown stream context");
   ACC_EXPECTS_MSG(drained(), "context switch on a non-drained accelerator");
-  // A drained tile has consumed every queued input, and the precompute
-  // cache drains in lockstep with the input queue — so the kernel's
-  // mutable state is exactly the per-sample state here.
-  ACC_CHECK_MSG(pre_counts_.empty() && pre_samples_.empty(),
-                name_ + ": precompute cache survived a drain");
   active_ = id;
   active_kernel_ = contexts_.at(id).get();
   m_ctx_switches_.add();
@@ -69,8 +64,6 @@ void AcceleratorTile::set_metrics(obs::MetricsRegistry* registry) {
   m_samples_ = obs::make_counter(registry, prefix + ".samples");
   m_busy_ = obs::make_counter(registry, prefix + ".busy_cycles");
   m_ctx_switches_ = obs::make_counter(registry, prefix + ".ctx_switches");
-  m_batch_blocks_ = obs::make_counter(registry, prefix + ".batch_blocks");
-  m_batch_samples_ = obs::make_counter(registry, prefix + ".batch_samples");
 }
 
 std::size_t AcceleratorTile::context_words() const {
@@ -133,37 +126,10 @@ void AcceleratorTile::tick(Cycle now) {
   if (!core_busy_ && !input_.empty() &&
       static_cast<std::int64_t>(pending_out_.size()) < ni_capacity_) {
     ACC_CHECK_MSG(active_ >= 0, name_ + ": no active context");
-    // Several inputs queued with no cache: run the whole queue through the
-    // kernel's SoA block path now and serve later starts from the cache
-    // (see the cache invariant notes in accel_tile.hpp).
-    if (pre_counts_.empty() && input_.size() > 1) {
-      const std::size_t m = input_.size();
-      block_in_.clear();
-      for (const Flit q : input_) block_in_.push_back(unpack_sample(q));
-      block_out_.resize(m);
-      block_counts_.resize(m);
-      const std::size_t produced = active_kernel_->process_block(
-          block_in_, block_out_, block_counts_.data());
-      for (std::size_t i = 0; i < m; ++i)
-        pre_counts_.push_back(block_counts_[i]);
-      for (std::size_t i = 0; i < produced; ++i)
-        pre_samples_.push_back(block_out_[i]);
-      m_batch_blocks_.add();
-      m_batch_samples_.add(static_cast<std::int64_t>(m));
-    }
     const Flit f = input_.front();
     input_.pop_front();
     ++pending_credit_returns_;  // slot freed: credit goes back upstream
-    if (!pre_counts_.empty()) {
-      std::uint8_t c = pre_counts_.front();
-      pre_counts_.pop_front();
-      while (c-- > 0) {
-        scratch_out_.push_back(pre_samples_.front());
-        pre_samples_.pop_front();
-      }
-    } else {
-      active_kernel_->push(unpack_sample(f), scratch_out_);
-    }
+    active_kernel_->push(unpack_sample(f), scratch_out_);
     core_busy_ = true;
     core_done_at_ = now + cycles_per_sample_;
   }
@@ -231,13 +197,11 @@ void AcceleratorTile::snapshot_state(StateHasher& h) const {
     h.mix(static_cast<std::int64_t>(words.size()));
     for (const std::int32_t w : words) h.mix(static_cast<std::int64_t>(w));
   }
-  h.mix(static_cast<std::int64_t>(pre_counts_.size()));
-  for (const std::uint8_t c : pre_counts_) h.mix(static_cast<std::int64_t>(c));
-  h.mix(static_cast<std::int64_t>(pre_samples_.size()));
-  for (const CQ16& s : pre_samples_) {
-    h.mix(static_cast<std::int64_t>(s.re.raw()));
-    h.mix(static_cast<std::int64_t>(s.im.raw()));
-  }
+  // Two constant words keep every state digest equal to its recorded
+  // value (BENCH_admission.json rows, benchmark fingerprints): the digest
+  // format has two queue-length words here.
+  h.mix(std::int64_t{0});
+  h.mix(std::int64_t{0});
   h.accounting(busy_cycles_);
 }
 
@@ -256,8 +220,6 @@ void AcceleratorTile::copy_state_from(const Component& other) {
   core_busy_ = o.core_busy_;
   core_done_at_ = o.core_done_at_;
   pending_credit_returns_ = o.pending_credit_returns_;
-  pre_counts_ = o.pre_counts_;
-  pre_samples_ = o.pre_samples_;
   processed_ = o.processed_;
   busy_cycles_ = o.busy_cycles_;
 }

@@ -75,8 +75,8 @@ class AcceleratorTile final : public Component {
   /// kernel futures too. processed_ is a lifetime counter (excluded);
   /// busy_cycles_ is skip-replayed accounting.
   void snapshot_state(StateHasher& h) const override;
-  /// Copies the NI, core (in-core outputs included), credit and
-  /// precompute-cache state, the counters, and every kernel context through
+  /// Copies the NI, core (in-core outputs included) and credit state, the
+  /// counters, and every kernel context through
   /// save_state()/restore_state(). The active kernel is re-resolved into
   /// this tile's own context map.
   void copy_state_from(const Component& other) override;
@@ -138,29 +138,12 @@ class AcceleratorTile final : public Component {
   Cycle core_done_at_ = 0;
   std::int64_t pending_credit_returns_ = 0;
 
-  // Kernel precompute cache (ISSUE 8): when a sample start finds several
-  // inputs queued, the whole queue runs through process_block at once and
-  // each later start consumes its input's cached outputs. The trigger
-  // depends only on the tile's own state at a start event — start events
-  // happen at identical cycles with identical queue contents under every
-  // stepper — so the cache (and its metrics) is stepper-exact. The kernel's
-  // mutable state advances at precompute time, which is unobservable: the
-  // only external reader is swap_context, which requires a drained tile,
-  // and a drained tile has an empty cache (asserted there).
-  std::deque<std::uint8_t> pre_counts_;  // outputs per still-queued input
-  std::deque<CQ16> pre_samples_;         // the cached outputs, in order
-  std::vector<CQ16> block_in_;           // process_block scratch
-  std::vector<CQ16> block_out_;
-  std::vector<std::uint8_t> block_counts_;
-
   std::int64_t processed_ = 0;
   std::int64_t busy_cycles_ = 0;
   TraceLog* trace_ = nullptr;
   obs::Counter m_samples_;
   obs::Counter m_busy_;
   obs::Counter m_ctx_switches_;
-  obs::Counter m_batch_blocks_;
-  obs::Counter m_batch_samples_;
 };
 
 }  // namespace acc::sim

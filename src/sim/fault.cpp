@@ -54,7 +54,7 @@ void FaultInjector::set_metrics(obs::MetricsRegistry* registry) {
 bool FaultInjector::eligible(SiteState& s, Cycle now) const {
   if (!s.spec.active()) return false;
   if (now < s.spec.window_from || now >= s.spec.window_until) return false;
-  return now >= s.quiet_until;
+  return now >= s.quiet_end;
 }
 
 Cycle FaultInjector::delay(FaultSite site, Cycle now) {
@@ -64,7 +64,7 @@ Cycle FaultInjector::delay(FaultSite site, Cycle now) {
   s.m_consults.add();
   if (!s.rng.chance(s.spec.probability)) return 0;
   const Cycle d = s.rng.uniform(1, s.spec.max_delay);
-  s.quiet_until = now + d + s.spec.min_spacing;
+  s.quiet_end = now + d + s.spec.min_spacing;
   ++s.stats.injected;
   s.m_injected.add();
   s.stats.delay_cycles += d;
@@ -89,7 +89,7 @@ bool FaultInjector::drop(FaultSite site, Cycle now) {
 Cycle FaultInjector::next_eligible(FaultSite site, Cycle now) const {
   const SiteState& s = sites_[static_cast<std::size_t>(site)];
   if (!s.spec.active()) return kNeverCycle;
-  const Cycle c = std::max({now, s.quiet_until, s.spec.window_from});
+  const Cycle c = std::max({now, s.quiet_end, s.spec.window_from});
   if (c >= s.spec.window_until) return kNeverCycle;
   return c;
 }
@@ -150,7 +150,7 @@ Cycle FaultInjector::worst_case_block_delay(Cycle nominal_service,
 void FaultInjector::copy_state_from(const FaultInjector& other) {
   for (std::size_t i = 0; i < sites_.size(); ++i) {
     sites_[i].rng = other.sites_[i].rng;
-    sites_[i].quiet_until = other.sites_[i].quiet_until;
+    sites_[i].quiet_end = other.sites_[i].quiet_end;
     sites_[i].stats = other.sites_[i].stats;
   }
 }

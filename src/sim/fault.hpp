@@ -98,7 +98,7 @@ class FaultInjector {
   /// cycle exists. Mirrors eligible(): inactive specs, closed windows and
   /// the post-trigger quiet period are ineligible — delay() early-outs on
   /// those without touching RNG or stats, which is what lets the
-  /// event-horizon stepper skip through them without desyncing the
+  /// wake-list stepper skip through them without desyncing the
   /// deterministic fault pattern (see System::run).
   [[nodiscard]] Cycle next_eligible(FaultSite site, Cycle now) const;
 
@@ -128,7 +128,7 @@ class FaultInjector {
   /// Wake-list plumbing (see sim/wake.hpp): every delay() trigger moves
   /// the site's quiet window, which shifts horizons derived from
   /// next_eligible — report it so cached horizons get re-derived. Null
-  /// (the default) under the dense / global-horizon steppers.
+  /// (the default) under the dense stepper.
   void set_wake_hub(WakeHub* hub) { hub_ = hub; }
 
   /// Opt-in metrics: fault.<site>.{consults,injected,dropped,delay_cycles}
@@ -141,7 +141,7 @@ class FaultInjector {
   struct SiteState {
     FaultSpec spec;
     SplitMix64 rng{0};
-    Cycle quiet_until = 0;
+    Cycle quiet_end = 0;
     FaultSiteStats stats;
     obs::Counter m_consults;
     obs::Counter m_injected;

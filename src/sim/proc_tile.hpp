@@ -49,9 +49,9 @@ struct Task {
   /// Wake-list contract companions to next_ready: EVERY C-FIFO whose fill
   /// the hint reads goes in wake_on_push, every C-FIFO whose space it
   /// reads goes in wake_on_pop (the tile registers as watcher on all of
-  /// them). A hinted task that lists neither marks the tile wake-unsafe,
-  /// and the scheduler falls back to re-querying it every active cycle —
-  /// exact, but it forfeits selective ticking for this tile.
+  /// them). A hinted task must list at least one: a hint no FIFO traffic
+  /// can invalidate would let a cached horizon go stale (add_task rejects
+  /// it).
   std::vector<CFifo*> wake_on_push;
   std::vector<CFifo*> wake_on_pop;
 };
@@ -80,9 +80,6 @@ class ProcessorTile final : public Component {
   /// Replays the replenishment grid (refills keep their dense-mode phase)
   /// and the running task's busy accounting over a skipped range.
   void skip_to(Cycle from, Cycle to) override;
-  /// Safe for cached horizons only when every hinted task declares the
-  /// C-FIFOs its hint depends on (Task::wake_on_push / wake_on_pop).
-  [[nodiscard]] bool wake_list_safe() const override;
   /// The replenishment grid (budget_left_, next_replenish_) is frozen-
   /// channel state that skip_to replays across a parked window: exempt
   /// from the V05 digest-stability audit (see Component::frozen_skip_replay).
@@ -108,21 +105,10 @@ class ProcessorTile final : public Component {
   void set_metrics(obs::MetricsRegistry* registry);
 
  private:
-  /// One scheduling decision at cycle `t`: build the candidate order and
-  /// try tasks until one invocation lands (sets busy_until_, budgets,
-  /// invocation counters/metrics). Returns whether an invocation started.
-  /// Does NOT touch busy_cycles_ — the caller accounts the cycle (dense
-  /// tick) or leaves it to the skip_to replay (batched virtual cycles).
-  bool attempt_invocation(Cycle t);
-
   std::string name_;
   Cycle period_;
   SchedulerPolicy policy_;
   std::vector<Task> tasks_;
-  // True when every task is hinted (invoke side-effect free on 0) and all
-  // declared wake FIFOs carry visibility lags >= 1 — the preconditions for
-  // replaying invocations at granted virtual cycles (see tick()).
-  bool batch_capable_ = true;
   std::vector<Cycle> budget_left_;
   std::vector<std::int64_t> invocations_;
   std::vector<std::size_t> order_;  // reusable scan buffer (hot path)

@@ -87,7 +87,6 @@ void Ring::tick() {
         s.occupied = false;
         ++delivered_;
         --occupied_;
-        ++pending_eject_;
         m_delivered_.add();
         if (hub_ != nullptr) hub_->ring_delivery(*this, i);
       }
@@ -140,7 +139,6 @@ void Ring::copy_state_from(const Ring& other) {
   delivered_ = other.delivered_;
   occupied_ = other.occupied_;
   queued_ = other.queued_;
-  pending_eject_ = other.pending_eject_;
   now_ = other.now_;
   stall_until_ = other.stall_until_;
   stall_cycles_ = other.stall_cycles_;

@@ -73,7 +73,6 @@ class Ring {
     auto& src = ejected_[static_cast<std::size_t>(node)];
     if (src.empty()) return;
     out.insert(out.end(), src.begin(), src.end());
-    pending_eject_ -= static_cast<std::int64_t>(src.size());
     src.clear();
   }
 
@@ -83,7 +82,6 @@ class Ring {
     ACC_EXPECTS(node >= 0 && node < nodes());
     auto& src = ejected_[static_cast<std::size_t>(node)];
     const auto n = static_cast<std::int64_t>(src.size());
-    pending_eject_ -= n;
     src.clear();
     return n;
   }
@@ -112,7 +110,7 @@ class Ring {
 
   /// Wake-list plumbing (see sim/wake.hpp): report injections and
   /// ejections so the scheduler can wake the ring and the draining tiles.
-  /// Null (the default) under the dense / global-horizon steppers.
+  /// Null (the default) under the dense stepper.
   void set_wake_hub(WakeHub* hub) { hub_ = hub; }
 
   /// Back the injection queues with a per-System arena (see common/
@@ -307,7 +305,6 @@ class Ring {
   std::int64_t delivered_ = 0;
   std::int64_t occupied_ = 0;       // slots in flight
   std::int64_t queued_ = 0;         // messages waiting in injection queues
-  std::int64_t pending_eject_ = 0;  // ejected messages awaiting drain
   Cycle now_ = 0;  // internal tick counter (fault windows are cycle-based)
   FaultInjector* fault_ = nullptr;
   FaultSite fault_site_{};

@@ -1,17 +1,9 @@
 // System: owns the interconnect, the tiles and the C-FIFOs, and steps the
 // whole MPSoC.
 //
-// Three steppers share one cycle-exact semantics:
+// Two steppers share one cycle-exact semantics:
 //
-//  - run_dense: the legacy loop — every component ticks every cycle.
-//  - run_global_horizon: after each dense tick, ask every component and
-//    both rings for the earliest cycle at which their next tick could have
-//    an externally visible effect (Component::next_event). When every
-//    answer lies beyond now+1 the whole system is QUIESCENT and now_ jumps
-//    straight to the minimum horizon (components replay per-cycle
-//    accounting via Component::skip_to). The skip is all-or-nothing: one
-//    component reporting now+1 keeps the step dense, and every dense tick
-//    pays an O(n) horizon re-scan.
+//  - run_dense: the reference loop — every component ticks every cycle.
 //  - run (wake-list): each component's horizon is CACHED in a flat calendar
 //    and only re-queried when its owner ticked or was woken through
 //    WakeHub (sim/wake.hpp). Each cycle ticks ONLY the components whose
@@ -34,8 +26,8 @@
 //    Frozen components are synchronized lazily: skip_to replays the
 //    accounting for [last tick + 1, wake cycle) right before they run, and
 //    sync_all() settles everyone when a run returns.
-//    The dense and global-horizon steppers ignore retirement and keep
-//    ticking retired components, so they remain the oracle for it.
+//    The dense stepper ignores retirement and keeps ticking retired
+//    components, so it remains the oracle for it.
 //    See docs/performance.md for the invariants and the equivalence proof
 //    obligations (tests/sim/event_horizon_test.cpp).
 #pragma once
@@ -50,16 +42,32 @@
 #include "sim/component.hpp"
 #include "sim/fault.hpp"
 #include "sim/ring.hpp"
-#include "sim/stepper_stats.hpp"
 #include "sim/wake.hpp"
 
 namespace acc::sim {
 
-/// Which stepper advances the system (all three are cycle-exact).
+/// Stepper instrumentation: how much work the event-driven cores avoided.
+/// All counters are per-stepper diagnostics, not simulation state — the
+/// cycle-exactness contract covers component state, traces and metric
+/// snapshots, while these legitimately differ between steppers.
+struct StepperStats {
+  std::int64_t dense_ticks = 0;      // cycles actually stepped
+  std::int64_t skips = 0;            // quiescent jumps taken
+  std::int64_t skipped_cycles = 0;   // cycles covered by those jumps
+  std::int64_t component_ticks = 0;  // Component::tick calls (all steppers)
+  std::int64_t horizon_queries = 0;  // next_event consultations
+  std::int64_t wakes = 0;            // wake notifications delivered
+  // Always zero: the simulator has no run-length transport. Kept only
+  // because the benchmark harness (perfbench/perfbench.cpp) still reads
+  // them and is edited only together with its baseline.
+  std::int64_t batch_runs = 0;
+  std::int64_t batch_tokens = 0;
+};
+
+/// Which stepper advances the system (both are cycle-exact).
 enum class StepperKind {
-  kDense = 0,          // reference semantics, every component every cycle
-  kGlobalHorizon = 1,  // all-or-nothing skip, O(n) re-scan per dense tick
-  kWakeList = 2,       // cached horizons, selective ticking, O(active)
+  kDense,     // reference semantics, every component every cycle
+  kWakeList,  // cached horizons, selective ticking, O(active)
 };
 
 class System final : public WakeHub {
@@ -82,7 +90,6 @@ class System final : public WakeHub {
   T& add(Args&&... args) {
     auto p = std::make_unique<T>(std::forward<Args>(args)...);
     T& ref = *p;
-    ref.set_stepper_stats(&stats_);
     components_.push_back(std::move(p));
     retired_.push_back(false);
     wake_ready_ = false;
@@ -94,22 +101,21 @@ class System final : public WakeHub {
   CFifo& add_fifo(Args&&... args) {
     fifos_.push_back(std::make_unique<CFifo>(std::forward<Args>(args)...));
     fifos_.back()->set_arena(&arena_);
-    fifos_.back()->set_stepper_stats(&stats_);
     wake_ready_ = false;
     return *fifos_.back();
   }
 
   /// Take a parked component out of the wake-list calendar for good: no
   /// later wake-list run ticks, syncs or scans it. It stays registered, so
-  /// state_digest() still covers it and the dense and global-horizon
-  /// steppers still tick it — they are the oracle that a retired component
-  /// really never acts. The contract is checked: the component must have
-  /// no self-scheduled event left, and any wake routed to it once the
-  /// calendar is rebuilt (a C-FIFO watcher, a ring delivery, a direct
-  /// callback) fails ACC_CHECK. Between runs every slot's accounting is
-  /// already settled through now_ - 1 (sync_all), so nothing is replayed
-  /// here; retiring freezes what a later skip_to() would have replayed,
-  /// so only components without per-cycle counters should be retired.
+  /// state_digest() still covers it and the dense stepper still ticks it —
+  /// it is the oracle that a retired component really never acts. The
+  /// contract is checked: the component must have no self-scheduled event
+  /// left, and any wake routed to it once the calendar is rebuilt (a C-FIFO
+  /// watcher, a ring delivery, a direct callback) fails ACC_CHECK. Between
+  /// runs every slot's accounting is already settled through now_ - 1
+  /// (sync_all), so nothing is replayed here; retiring freezes what a
+  /// later skip_to() would have replayed, so only components without
+  /// per-cycle counters should be retired.
   void retire(Component& c) {
     ACC_CHECK_MSG(!processing_, "component retired inside a wake-list cycle");
     const auto it =
@@ -126,14 +132,10 @@ class System final : public WakeHub {
   }
 
   /// Run for `cycles` clock cycles with the wake-list stepper (cycle-exact
-  /// vs run_dense; see file header). The only stepper that issues batching
-  /// grants (quiet_until): run_until withholds them so its predicate
-  /// observes every intermediate state dense stepping would expose.
+  /// vs run_dense; see file header).
   void run(Cycle cycles) {
     const Cycle end = now_ + cycles;
     begin_wake_run();
-    run_end_ = end;
-    batch_allowed_ = true;
     Cycle due = now_;  // begin_wake_run schedules every slot at now_
     while (now_ < end) {
       if (due > now_) {
@@ -145,24 +147,11 @@ class System final : public WakeHub {
       }
       due = step_wake_cycle();
     }
-    batch_allowed_ = false;
     sync_all(end);
   }
 
-  /// Run for `cycles` clock cycles with the all-or-nothing global-horizon
-  /// stepper (the wake-list's predecessor — kept as a second event-driven
-  /// reference for the equivalence suite).
-  void run_global_horizon(Cycle cycles) {
-    wake_ready_ = false;  // cached wake state goes stale under this stepper
-    const Cycle end = now_ + cycles;
-    while (now_ < end) {
-      step_dense();
-      skip_if_quiescent(end);
-    }
-  }
-
   /// Run for `cycles` clock cycles, ticking every component every cycle
-  /// (the legacy stepper — reference semantics for equivalence tests).
+  /// (the reference semantics for equivalence tests).
   void run_dense(Cycle cycles) {
     wake_ready_ = false;
     const Cycle end = now_ + cycles;
@@ -178,7 +167,6 @@ class System final : public WakeHub {
   void run_with(StepperKind kind, Cycle cycles) {
     switch (kind) {
       case StepperKind::kDense: run_dense(cycles); return;
-      case StepperKind::kGlobalHorizon: run_global_horizon(cycles); return;
       case StepperKind::kWakeList: run(cycles); return;
     }
   }
@@ -278,28 +266,6 @@ class System final : public WakeHub {
     // component) along with this hub, so the index is always ours.
     const std::size_t idx = c.wake_slot();
     ACC_CHECK_MSG(idx != kRetiredSlot, "wake routed to a retired component");
-    if (grant_live_ && idx < processing_pos_) {
-      // Batched run in progress: a conservative "schedule at now_ + 1"
-      // would collapse the grant on every watcher notification, even when
-      // the watcher demonstrably sleeps far beyond the batch window. Slots
-      // BELOW the granted one already had their dense-order turn this
-      // cycle, so their earliest possible reaction is next_event(now_) —
-      // re-deriving it here is exact (never later than dense) and keeps
-      // the window open when the woken component genuinely stays idle.
-      // Slots at or above the granted one may still act THIS cycle, so
-      // they take the conservative path, which aborts the batch.
-      ++stats_.wakes;
-      ++stats_.horizon_queries;
-      const Cycle h = c.next_event(now_);
-      const Cycle target =
-          h == kNeverCycle ? kNeverCycle : std::max(h, now_ + 1);
-      Slot& s = slots_[idx];
-      if (target < s.at) {
-        s.at = target;
-        wake_floor_min_ = std::min(wake_floor_min_, target);
-      }
-      return;
-    }
     wake_slot(idx);
   }
 
@@ -320,30 +286,13 @@ class System final : public WakeHub {
   void fault_site_changed(FaultSite site) override {
     // Only kRingLink feeds cached horizons (Ring::next_event consults
     // next_eligible); the other sites' RNG draws happen inside component
-    // ticks that are scheduled anyway. A trigger moves quiet_until FORWARD,
-    // so the fresh horizon may be later than the cached one — re-deriving
-    // it (rather than the schedule-early wake rule) is what keeps the rings
-    // skippable across the quiet window.
+    // ticks that are scheduled anyway. A trigger moves the quiet window
+    // FORWARD, so the fresh horizon may be later than the cached one —
+    // re-deriving it (rather than the schedule-early wake rule) is what
+    // keeps the rings skippable across the quiet window.
     if (!wake_ready_ || site != FaultSite::kRingLink) return;
     requery_ring(data_slot());
     requery_ring(credit_slot());
-  }
-
-  /// Batching grant (see sim/wake.hpp): min over every OTHER slot's
-  /// scheduled cycle, clamped to the end of the active run(). Grants are
-  /// only issued mid-cycle under the wake-list stepper with batching
-  /// allowed, and never while a wake-unsafe component exists (its parked
-  /// slot carries no schedule the window could trust). Issuing a grant
-  /// arms the requery-on-wake path above until the granted tick returns.
-  [[nodiscard]] Cycle quiet_until(std::size_t self_slot) const override {
-    if (!wake_ready_ || !processing_ || !batch_allowed_ || !unsafe_.empty())
-      return 0;
-    Cycle m = run_end_;
-    for (std::size_t j = 0; j < slots_.size(); ++j) {
-      if (j != self_slot) m = std::min(m, slots_[j].at);
-    }
-    grant_live_ = true;
-    return m;
   }
 
  private:
@@ -364,57 +313,21 @@ class System final : public WakeHub {
   [[nodiscard]] std::size_t data_slot() const { return slots_.size() - 2; }
   [[nodiscard]] std::size_t credit_slot() const { return slots_.size() - 1; }
 
-  /// One dense cycle: every component, then the interconnect.
-  void step_dense() {
-    for (auto& c : components_) c->tick(now_);
-    ring_.tick();
-    ++now_;
-    ++stats_.dense_ticks;
-    stats_.component_ticks += static_cast<std::int64_t>(components_.size());
-  }
-
-  /// Global-horizon core: if every horizon lies beyond the next cycle, jump
-  /// to the earliest one (clamped to `end`), replaying per-cycle accounting
-  /// along the way.
-  void skip_if_quiescent(Cycle end) {
-    const Cycle ticked = now_ - 1;  // cycle step_dense just completed
-    ++stats_.horizon_queries;
-    Cycle h = ring_.next_event();
-    for (const auto& c : components_) {
-      if (h <= now_) return;  // someone acts next cycle: stay dense
-      ++stats_.horizon_queries;
-      h = std::min(h, c->next_event(ticked));
-    }
-    const Cycle target = std::min(h, end);
-    if (target <= now_) return;
-    for (auto& c : components_) c->skip_to(now_, target);
-    ring_.skip_to(target);
-    stats_.skipped_cycles += target - now_;
-    ++stats_.skips;
-    now_ = target;
-  }
-
   // --- Wake-list core ----------------------------------------------------
 
   /// (Re)build the wake-list bookkeeping: slot table for the live
   /// components, ring-node routing and hub installation. Invalidated by
-  /// add, retire and the other steppers (which advance state without
-  /// maintaining cached horizons).
+  /// add, retire, copy_state_from, a throwing tick and run_dense (which
+  /// advances state without maintaining cached horizons).
   void prepare_wake() {
     live_.clear();
-    unsafe_.clear();
-    unsafe_mask_.clear();
     node_owner_.assign(static_cast<std::size_t>(ring_.data().nodes()),
                        kNoSlot);
     for (std::size_t k = 0; k < components_.size(); ++k) {
       Component* c = components_[k].get();
       const std::size_t i = retired_[k] ? kRetiredSlot : live_.size();
       c->set_wake_hub(this, i);
-      if (i != kRetiredSlot) {
-        live_.push_back(c);
-        unsafe_mask_.push_back(!c->wake_list_safe());
-        if (unsafe_mask_.back()) unsafe_.push_back(i);
-      }
+      if (i != kRetiredSlot) live_.push_back(c);
       const std::int32_t node = c->ring_node();
       if (node >= 0) {
         ACC_CHECK_MSG(node < ring_.data().nodes(),
@@ -461,13 +374,25 @@ class System final : public WakeHub {
   /// Returns the earliest due cycle after the step (the next_due() scan is
   /// fused into the processing scan — one calendar pass per active cycle
   /// instead of two). Visited slots can be LOWERED afterwards only through
-  /// wake_slot / the grant requery path, both of which feed
-  /// wake_floor_min_; they can be RAISED only by a mid-cycle ring requery
-  /// (fault triggers), which makes the returned minimum conservative-early
+  /// wake_slot / requery_ring, both of which feed wake_floor_min_; they can
+  /// be RAISED only by a mid-cycle ring requery (fault triggers), which
+  /// makes the returned minimum conservative-early
   /// — the next iteration scans again, finds nothing due, and returns the
   /// fresh minimum without stepping (the !any path below), so stats stay
   /// identical to the unfused loop.
+  ///
+  /// A tick that throws leaves the cycle half-stepped: the guard closes it
+  /// and drops the calendar, so copy_state_from, retire and the next run
+  /// (which rebuilds the calendar from the state) stay usable.
   [[nodiscard]] Cycle step_wake_cycle() {
+    struct OpenCycleGuard {
+      System& sys;
+      ~OpenCycleGuard() {
+        if (!sys.processing_) return;
+        sys.processing_ = false;
+        sys.wake_ready_ = false;
+      }
+    } guard{*this};
     const Cycle t = now_;
     processing_ = true;
     wake_floor_min_ = kNeverCycle;
@@ -483,20 +408,10 @@ class System final : public WakeHub {
       run_slot(idx, t);
       min_next = std::min(min_next, slots_[idx].at);
     }
-    if (!any) {
-      // Stale minimum (a horizon was raised since it was computed): no
-      // slot was due, nothing ticked — report the fresh minimum only.
-      processing_ = false;
-      return min_next;
-    }
-    // Wake-unsafe components get the global-horizon treatment: a fresh
-    // query after every active cycle, so their hints never go stale.
-    for (const std::size_t idx : unsafe_) {
-      ++stats_.horizon_queries;
-      schedule_horizon(idx, live_[idx]->next_event(t), t + 1);
-      min_next = std::min(min_next, slots_[idx].at);
-    }
     processing_ = false;
+    // Stale minimum (a horizon was raised since it was computed): no slot
+    // was due, nothing ticked — report the fresh minimum only.
+    if (!any) return min_next;
     ++now_;
     ++stats_.dense_ticks;
     return std::min(min_next, wake_floor_min_);
@@ -512,11 +427,6 @@ class System final : public WakeHub {
       s.synced = t;
       ++stats_.component_ticks;
       c.tick(t);
-      grant_live_ = false;  // any batching grant expires with its tick
-      if (unsafe_mask_[idx]) {
-        s.at = kNeverCycle;  // re-queried after the cycle completes
-        return;
-      }
       ++stats_.horizon_queries;
       schedule_horizon(idx, c.next_event(t), t + 1);
     } else {
@@ -592,17 +502,9 @@ class System final : public WakeHub {
   std::vector<Slot> slots_;
   std::vector<Component*> live_;         // component slot -> component
   std::vector<std::size_t> node_owner_;  // ring node -> component slot
-  std::vector<std::size_t> unsafe_;      // wake-unsafe component slots
-  std::vector<bool> unsafe_mask_;
   bool processing_ = false;        // inside step_wake_cycle
   std::size_t processing_pos_ = 0; // slot currently (or last) run this cycle
   Cycle wake_floor_min_ = kNeverCycle;  // lowest at lowered mid-cycle
-  // Batched-data-plane grant state (ISSUE 8): grants exist only inside
-  // run() — run_until's predicate must observe dense-visible intermediate
-  // states, so it never allows them.
-  bool batch_allowed_ = false;
-  Cycle run_end_ = 0;
-  mutable bool grant_live_ = false;  // a granted tick is in progress
 };
 
 }  // namespace acc::sim

@@ -120,7 +120,7 @@ void Runner::apply(const Action& a) {
 
 void Runner::advance(sim::Cycle cycles) {
   try {
-    model_.sys.run_global_horizon(cycles);
+    model_.sys.run(cycles);
   } catch (const acc::precondition_error& e) {
     if (model_.ms.has(Mutation::kMidRoundReconfig)) {
       // The seeded rogue agent reconfigures without quiescing; the tile's

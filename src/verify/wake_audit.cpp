@@ -58,14 +58,10 @@ void WakeAudit::audited_cycle() {
   sys_.run_dense(1);
   const sim::Cycle ticked = sys_.now() - 1;
   for (std::size_t i = 0; i < watches_.size(); ++i) {
-    // Wake-unsafe components are exempt (the wake-list stepper re-queries
-    // them every active cycle instead of trusting their horizons), and so
-    // are components whose skip_to replays frozen-channel state — their
-    // in-window dense evolution is deterministic grid replay, not a missed
-    // wake (see Component::frozen_skip_replay).
-    if (!sys_.component(i).wake_list_safe() ||
-        sys_.component(i).frozen_skip_replay())
-      continue;
+    // Components whose skip_to replays frozen-channel state are exempt:
+    // their in-window dense evolution is deterministic grid replay, not a
+    // missed wake (see Component::frozen_skip_replay).
+    if (sys_.component(i).frozen_skip_replay()) continue;
     Watch& w = watches_[i];
     if (w.woken || !w.armed || ticked >= w.horizon) {
       rearm(i, ticked);

@@ -3,8 +3,7 @@
 // DENSE stepping.
 //
 // The wake-list stepper's exactness rests on one promise (see
-// src/sim/system.hpp): a wake-list-safe component whose cached horizon lies
-// in the future must not change frozen state before that horizon unless it
+// src/sim/system.hpp): a component whose cached horizon lies in the future must not change frozen state before that horizon unless it
 // is woken through the WakeHub. The audit installs itself as every
 // component's hub, arms a frozen-channel digest (StateHasher base 0 —
 // absolute bit-stability is exactly the property) whenever a component
@@ -17,12 +16,10 @@
 // (it sets wake_ready_ = false), so the audit's hub installation survives,
 // and every cycle is ticked so no window goes unobserved.
 //
-// Exempt from the digest check: wake-UNSAFE components (the stepper
-// re-queries them every active cycle, so a stale horizon cannot hurt) and
-// components declaring frozen_skip_replay() (their frozen state evolves
-// deterministically across a parked window and skip_to replays it — e.g.
-// the ProcessorTile's budget-replenishment grid; the differential stepper
-// suite certifies that replay instead).
+// Exempt from the digest check: components declaring frozen_skip_replay()
+// (their frozen state evolves deterministically across a parked window and
+// skip_to replays it — e.g. the ProcessorTile's budget-replenishment grid;
+// the differential stepper suite certifies that replay instead).
 #pragma once
 
 #include <cstdint>

@@ -2,7 +2,7 @@
 // kernel's process_block must match push() per sample bit-for-bit — outputs,
 // per-input output counts AND the post-block mutable state — across block
 // sizes 1..64 and fixed-point edge values. This is the contract that lets
-// AcceleratorTile precompute whole queued blocks without perturbing the
+// a simulator run whole blocks through process_block without perturbing the
 // cycle-exact simulation.
 #include <gtest/gtest.h>
 

@@ -15,12 +15,15 @@
 //      to dense;
 //   4. System::retire: only a parked component may leave the calendar, a
 //      wake routed to a retired component fails loudly, a component added
-//      between runs ticks when dense would, and all three steppers agree
-//      on the digest across a retirement.
+//      between runs ticks when dense would, and both steppers agree on the
+//      digest across a retirement;
+//   5. a tick that throws mid-cycle leaves the system usable: its state can
+//      be overwritten, a parked component retired, and the run continued.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -424,6 +427,11 @@ class FiniteSource final : public Component {
     h.mix(sent_);
     h.mix_cycle(next_);
   }
+  void copy_state_from(const Component& other) override {
+    const auto& o = same_kind<FiniteSource>(other);
+    next_ = o.next_;
+    sent_ = o.sent_;
+  }
   [[nodiscard]] std::int64_t ticks() const { return ticks_; }
 
  private:
@@ -455,6 +463,11 @@ class ChecksumDrain final : public Component {
     h.mix(received_);
     h.mix(sum_);
   }
+  void copy_state_from(const Component& other) override {
+    const auto& o = same_kind<ChecksumDrain>(other);
+    received_ = o.received_;
+    sum_ = o.sum_;
+  }
   [[nodiscard]] std::int64_t ticks() const { return ticks_; }
   [[nodiscard]] std::int64_t received() const { return received_; }
 
@@ -472,7 +485,7 @@ struct RetireResult {
 };
 
 /// Session-shaped churn: a source/drain pair streams, drains and is
-/// retired (under every stepper — dense and global-horizon ignore it);
+/// retired (under both steppers — dense ignores it);
 /// then a second pair joins and streams through a fresh FIFO.
 RetireResult run_retire_scenario(StepperKind kind) {
   System sys{2};
@@ -500,9 +513,7 @@ RetireResult run_retire_scenario(StepperKind kind) {
 
 TEST(WakeListRetire, DigestsStayEqualAcrossRetirement) {
   const RetireResult dense = run_retire_scenario(StepperKind::kDense);
-  const RetireResult global = run_retire_scenario(StepperKind::kGlobalHorizon);
   const RetireResult wake = run_retire_scenario(StepperKind::kWakeList);
-  EXPECT_EQ(global.digests, dense.digests);
   EXPECT_EQ(wake.digests, dense.digests);
   EXPECT_EQ(dense.second_received, 8);
   EXPECT_EQ(wake.second_received, 8);
@@ -529,6 +540,70 @@ TEST(WakeListRetire, RetirementSurvivesAForeignHubInstall) {
   sys.run(30);
   EXPECT_EQ(src.ticks(), before);
   EXPECT_THROW(sys.retire(src), invariant_error);  // still retired
+}
+
+// --- 5. a tick that throws mid-cycle --------------------------------------
+
+/// Throws once from its tick at `throw_at`, then parks for good. The arming
+/// flag is test harness, not simulation state: a copy leaves it alone.
+class Thrower final : public Component {
+ public:
+  explicit Thrower(Cycle throw_at) : throw_at_(throw_at) {}
+
+  void tick(Cycle now) override {
+    if (armed_ && now == throw_at_) {
+      armed_ = false;
+      throw std::runtime_error("tick failed");
+    }
+  }
+  [[nodiscard]] Cycle next_event(Cycle now) const override {
+    return armed_ && throw_at_ > now ? throw_at_ : kNeverCycle;
+  }
+  void copy_state_from(const Component& other) override {
+    (void)same_kind<Thrower>(other);
+  }
+
+ private:
+  Cycle throw_at_;
+  bool armed_ = true;
+};
+
+/// Source -> drain with the thrower registered between them, so a throw
+/// interrupts a wake-list cycle after the source's slot and before the
+/// drain's. `throw_at` < 0 never throws.
+struct ThrowRig {
+  explicit ThrowRig(Cycle throw_at) : sys(2) {
+    CFifo& f = sys.add_fifo("f", 16, 2, 1);
+    sys.add<FiniteSource>(f, 3, 4, 20);  // emits at 3, 7, ..., 79
+    thrower = &sys.add<Thrower>(throw_at);
+    drain = &sys.add<ChecksumDrain>(f);
+  }
+  System sys;
+  Thrower* thrower = nullptr;
+  ChecksumDrain* drain = nullptr;
+};
+
+TEST(WakeListThrow, ThrowingTickLeavesTheSystemUsable) {
+  for (const StepperKind kind : {StepperKind::kDense, StepperKind::kWakeList}) {
+    SCOPED_TRACE(kind == StepperKind::kDense ? "dense" : "wake-list");
+    ThrowRig r(/*throw_at=*/15);  // the source also emits at 15
+    EXPECT_THROW(r.sys.run_with(kind, 100), std::runtime_error);
+    EXPECT_EQ(r.sys.now(), 15);
+
+    ThrowRig twin(-1);
+    twin.sys.run_dense(30);
+    r.sys.copy_state_from(twin.sys);
+    r.sys.retire(*r.thrower);  // parked since it threw
+    ThrowRig ref(-1);
+    ref.sys.copy_state_from(twin.sys);
+
+    r.sys.run_with(kind, 80);
+    ref.sys.run_dense(80);
+    EXPECT_EQ(r.sys.now(), ref.sys.now());
+    EXPECT_EQ(r.sys.state_digest(), ref.sys.state_digest());
+    EXPECT_EQ(r.drain->received(), 20);
+    EXPECT_EQ(r.drain->received(), ref.drain->received());
+  }
 }
 
 }  // namespace

@@ -65,7 +65,7 @@ struct Params {
   int payload_blocks = 3;
   bool with_proc = false;    // software copy task between chain and sink
   Cycle proc_cost = 3;
-  bool hint_wake_lists = false;  // declare the copy task's wake FIFOs
+  bool hint_wake_lists = false;  // give the copy task a hint + wake FIFOs
   bool with_fault = false;
   bool with_drops = false;   // notification drops (requires retry recovery)
   std::uint64_t fault_seed = 1;
@@ -88,8 +88,9 @@ inline Params random_params(std::mt19937_64& rng, bool with_fault) {
   p.payload_blocks = pick(2, 4);
   p.with_proc = pick(0, 1) == 1;
   p.proc_cost = pick(1, 4);
-  // Half the processor variants declare wake lists (selective ticking),
-  // half do not (exercises the wake-unsafe re-query fallback).
+  // Half the processor variants carry a hint with its wake FIFOs
+  // (selective ticking), half carry no hint (the tile then ticks every
+  // active cycle).
   p.hint_wake_lists = pick(0, 1) == 1;
   p.with_fault = with_fault;
   p.with_drops = with_fault && pick(0, 1) == 1;
@@ -173,11 +174,11 @@ struct Scenario {
         f->push(now, m->pop(now));
         return cost;
       };
-      copy.next_ready = [m, f](Cycle now) {
-        return std::max(m->when_fill_visible(1, now),
-                        f->when_space_visible(1, now));
-      };
       if (p.hint_wake_lists) {
+        copy.next_ready = [m, f](Cycle now) {
+          return std::max(m->when_fill_visible(1, now),
+                          f->when_space_visible(1, now));
+        };
         copy.wake_on_push = {m};
         copy.wake_on_pop = {f};
       }
