@@ -381,15 +381,18 @@ class System final : public WakeHub {
   /// fresh minimum without stepping (the !any path below), so stats stay
   /// identical to the unfused loop.
   ///
-  /// A tick that throws leaves the cycle half-stepped: the guard closes it
+  /// A tick that throws leaves the cycle half-stepped. The guard closes
+  /// it, settles every frozen slot's deferred accounting through now_ - 1
+  /// (the between-runs invariant retire and the calendar rebuild rely on)
   /// and drops the calendar, so copy_state_from, retire and the next run
-  /// (which rebuilds the calendar from the state) stay usable.
+  /// stay usable.
   [[nodiscard]] Cycle step_wake_cycle() {
     struct OpenCycleGuard {
       System& sys;
       ~OpenCycleGuard() {
         if (!sys.processing_) return;
         sys.processing_ = false;
+        sys.sync_all(sys.now_);
         sys.wake_ready_ = false;
       }
     } guard{*this};

@@ -24,11 +24,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "sim/cfifo.hpp"
 #include "sim/fault.hpp"
+#include "sim/proc_tile.hpp"
 #include "sim/system.hpp"
 
 namespace acc::sim {
@@ -604,6 +606,32 @@ TEST(WakeListThrow, ThrowingTickLeavesTheSystemUsable) {
     EXPECT_EQ(r.drain->received(), 20);
     EXPECT_EQ(r.drain->received(), ref.drain->received());
   }
+}
+
+TEST(WakeListThrow, RunningOnAfterAThrowMatchesDense) {
+  // A processor tile busy across the throw is parked under the wake-list
+  // stepper, with its busy and replenishment accounting deferred. Running
+  // on without overwriting the state must still match dense, which needs
+  // that accounting settled when the cycle unwinds. The thrower is
+  // registered first, so dense ticks nothing else in the thrown cycle.
+  const auto run = [](StepperKind kind) {
+    System sys{2};
+    CFifo& f = sys.add_fifo("f", 8, 1, 1);
+    sys.add<Thrower>(50);
+    auto& pt = sys.add<ProcessorTile>("pt", /*replenish_period=*/16);
+    Task t;
+    t.name = "work";
+    t.invoke = [](Cycle) -> Cycle { return 40; };
+    t.budget = 100;
+    t.next_ready = [](Cycle now) { return now; };
+    t.wake_on_push = {&f};
+    pt.add_task(std::move(t));
+    EXPECT_THROW(sys.run_with(kind, 200), std::runtime_error);
+    sys.run_with(kind, 100);
+    return std::make_tuple(sys.now(), pt.busy_cycles(), pt.invocations(0),
+                           sys.state_digest());
+  };
+  EXPECT_EQ(run(StepperKind::kWakeList), run(StepperKind::kDense));
 }
 
 }  // namespace
