@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace acc::sim {
 namespace {
 
@@ -132,6 +134,38 @@ TEST(CFifo, WhenPredictionsAgreeWithGuardsAtEveryCycle) {
   const Cycle space_at = f.when_space_visible(1, fill_at);
   for (Cycle now = fill_at; now < space_at + 2; ++now)
     EXPECT_EQ(f.can_push(now), now >= space_at) << "cycle " << now;
+}
+
+TEST(CFifo, CopyStateFromCarriesQueuedTokensAndCredits) {
+  // A copy takes every queued token and every freed-but-unseen credit with
+  // its visibility deadline, plus the capacity and lifetime counters, so
+  // both FIFOs answer every later query alike. Lags stay the copy's own.
+  CFifo a("a", 4, /*rlag=*/3, /*wlag=*/5);
+  a.push(0, 10);
+  a.push(1, 11);
+  a.push(2, 12);
+  EXPECT_EQ(a.pop(4), 10u);  // its credit reaches the writer at 9
+  a.push(5, 13);
+  CFifo b("b", 2, /*rlag=*/3, /*wlag=*/5);
+  b.copy_state_from(a);
+  EXPECT_EQ(b.capacity(), 4);
+  EXPECT_EQ(b.true_fill(), 3);
+  EXPECT_EQ(b.total_pushed(), 4);
+  EXPECT_EQ(b.total_popped(), 1);
+  EXPECT_EQ(b.peak_fill(), a.peak_fill());
+  for (Cycle now = 5; now < 16; ++now) {
+    SCOPED_TRACE("cycle " + std::to_string(now));
+    EXPECT_EQ(b.fill_visible(now), a.fill_visible(now));
+    EXPECT_EQ(b.space_visible(now), a.space_visible(now));
+    EXPECT_EQ(b.when_fill_visible(3, now), a.when_fill_visible(3, now));
+    EXPECT_EQ(b.when_space_visible(2, now), a.when_space_visible(2, now));
+    if (now % 3 == 0 && a.can_pop(now)) {
+      ASSERT_TRUE(b.can_pop(now));
+      EXPECT_EQ(b.pop(now), a.pop(now));
+    }
+  }
+  EXPECT_EQ(b.total_popped(), a.total_popped());
+  EXPECT_EQ(b.true_fill(), 0);
 }
 
 TEST(CFifo, MetricsFollowPushAndPop) {

@@ -319,6 +319,191 @@ TEST(EventHorizon, HintedProcessorMatchesDense) {
   EXPECT_GT(wake_stats.skipped_cycles, 0);
 }
 
+TEST(EventHorizon, UnhintedTaskIsPolledEveryIdleCycleLikeDense) {
+  // Without a hint the tile cannot say when its task unblocks, so the
+  // wake-list stepper must poll it on every cycle it is not busy — the
+  // same attempts, at the same cycles, as dense ticking. The test pushes
+  // into the input between runs, which no watcher would report.
+  auto run = [](StepperKind kind) {
+    System sys(2);
+    CFifo& in = sys.add_fifo("in", 4, /*read_visibility_lag=*/3,
+                             /*write_visibility_lag=*/1);
+    auto& pt = sys.add<ProcessorTile>("pt", /*replenish=*/100);
+    std::vector<Cycle> polls;
+    Task t;
+    t.name = "copy";
+    t.invoke = [&](Cycle now) -> Cycle {
+      polls.push_back(now);
+      if (!in.can_pop(now)) return 0;
+      (void)in.pop(now);
+      return 6;
+    };
+    t.budget = 100;
+    pt.add_task(std::move(t));
+    sys.run_with(kind, 20);
+    in.push(sys.now(), 1);
+    in.push(sys.now(), 2);
+    sys.run_with(kind, 40);
+    return std::make_tuple(polls, pt.invocations(0), pt.busy_cycles(),
+                           sys.state_digest());
+  };
+  const auto dense = run(StepperKind::kDense);
+  const auto wake = run(StepperKind::kWakeList);
+  EXPECT_EQ(wake, dense);
+  const std::vector<Cycle>& polls = std::get<0>(wake);
+  // 60 cycles less the 5 busy tail cycles of each of the two invocations.
+  ASSERT_EQ(polls.size(), 50u);
+  for (Cycle c = 0; c < 20; ++c)
+    EXPECT_EQ(polls[static_cast<std::size_t>(c)], c);
+  EXPECT_EQ(std::get<1>(wake), 2);
+}
+
+TEST(EventHorizon, SpaceHintedProducerWakesOnPopLikeDense) {
+  // A producer task whose hint waits for writer-visible space parks with
+  // no horizon while its output is full; only the slow sink's pops, routed
+  // through the task's wake_on_pop FIFO, can wake it.
+  auto run = [](StepperKind kind) {
+    System sys(2);
+    CFifo& out = sys.add_fifo("out", 2, /*read_visibility_lag=*/1,
+                              /*write_visibility_lag=*/2);
+    auto& pt = sys.add<ProcessorTile>("pt", /*replenish=*/50);
+    auto& sink = sys.add<SinkTile>("sink", out, /*period=*/9);
+    std::vector<Cycle> produced;
+    Flit next = 1;
+    Task t;
+    t.name = "produce";
+    t.invoke = [&](Cycle now) -> Cycle {
+      if (!out.can_push(now)) return 0;
+      out.push(now, next++);
+      produced.push_back(now);
+      return 2;
+    };
+    t.budget = 20;
+    t.next_ready = [&out](Cycle now) { return out.when_space_visible(1, now); };
+    t.wake_on_pop = {&out};
+    pt.add_task(std::move(t));
+    sys.run_with(kind, 300);
+    return std::make_tuple(produced, sink.received(), sink.timestamps(),
+                           pt.busy_cycles(), sys.state_digest(),
+                           sys.stepper_stats().skipped_cycles);
+  };
+  const auto dense = run(StepperKind::kDense);
+  const auto wake = run(StepperKind::kWakeList);
+  EXPECT_EQ(std::get<0>(wake), std::get<0>(dense));
+  EXPECT_EQ(std::get<1>(wake), std::get<1>(dense));
+  EXPECT_EQ(std::get<2>(wake), std::get<2>(dense));
+  EXPECT_EQ(std::get<3>(wake), std::get<3>(dense));
+  EXPECT_EQ(std::get<4>(wake), std::get<4>(dense));
+  // The sink paces the producer: one token per DAC period after the fill.
+  EXPECT_GT(std::get<0>(dense).size(), 30u);
+  EXPECT_GT(std::get<5>(wake), 0);
+}
+
+TEST(EventHorizon, PriorityBudgetHintedTasksMatchDense) {
+  // A high-priority consumer, woken by its input's pushes, and an
+  // always-ready low-priority filler share one budgeted tile. Both exhaust
+  // their budgets, so the tile parks until the replenishment grid refills
+  // them: priority order, budget accounting and the grid's phase must all
+  // match dense.
+  auto run = [](StepperKind kind) {
+    System sys(2);
+    CFifo& in = sys.add_fifo("in", 8, /*read_visibility_lag=*/2,
+                             /*write_visibility_lag=*/2);
+    std::vector<Flit> data;
+    for (Flit i = 0; i < 60; ++i) data.push_back(i);
+    auto& src = sys.add<SourceTile>("src", in, data, /*period=*/5,
+                                    /*start_at=*/3);
+    src.set_jitter(/*max_jitter=*/3, /*seed=*/11);
+    auto& pt = sys.add<ProcessorTile>("pt", /*replenish=*/40,
+                                      SchedulerPolicy::kPriorityBudget);
+    std::vector<std::pair<Cycle, Flit>> consumed;
+    Task hi;
+    hi.name = "consume";
+    hi.priority = 2;
+    hi.budget = 12;
+    hi.invoke = [&](Cycle now) -> Cycle {
+      if (!in.can_pop(now)) return 0;
+      consumed.emplace_back(now, in.pop(now));
+      return 3;
+    };
+    hi.next_ready = [&in](Cycle now) { return in.when_fill_visible(1, now); };
+    hi.wake_on_push = {&in};
+    pt.add_task(std::move(hi));
+    Task lo;
+    lo.name = "filler";
+    lo.priority = 1;
+    lo.budget = 16;
+    lo.invoke = [](Cycle) -> Cycle { return 4; };
+    lo.next_ready = [](Cycle now) { return now; };
+    lo.wake_on_push = {&in};
+    pt.add_task(std::move(lo));
+    sys.run_with(kind, 400);
+    return std::make_tuple(consumed, pt.invocations(0), pt.invocations(1),
+                           pt.busy_cycles(), src.dropped(), sys.state_digest(),
+                           sys.stepper_stats().skipped_cycles);
+  };
+  const auto dense = run(StepperKind::kDense);
+  const auto wake = run(StepperKind::kWakeList);
+  EXPECT_EQ(std::get<0>(wake), std::get<0>(dense));
+  EXPECT_EQ(std::get<1>(wake), std::get<1>(dense));
+  EXPECT_EQ(std::get<2>(wake), std::get<2>(dense));
+  EXPECT_EQ(std::get<3>(wake), std::get<3>(dense));
+  EXPECT_EQ(std::get<4>(wake), std::get<4>(dense));
+  EXPECT_EQ(std::get<5>(wake), std::get<5>(dense));
+  // 4 consumes (12 budget cycles) per 40-cycle period cannot keep up with
+  // 8 samples per period: the budget binds, and the filler still runs.
+  EXPECT_GT(std::get<4>(dense), 0);
+  EXPECT_GT(std::get<2>(dense), 0);
+  EXPECT_GT(std::get<6>(wake), 0);
+}
+
+TEST(EventHorizon, ProcessorPipelineMatchesDense) {
+  // Jittered source -> producer tile -> consumer tile -> sink. The tiles'
+  // hints depend on each other's FIFO traffic in both directions (fill for
+  // the consumer, space for the producer), with lags on every C-FIFO.
+  auto run = [](StepperKind kind) {
+    System sys(3);
+    CFifo& a = sys.add_fifo("a", 4, 2, 3);
+    CFifo& b = sys.add_fifo("b", 3, 4, 1);
+    CFifo& c = sys.add_fifo("c", 6, 1, 2);
+    std::vector<Flit> data;
+    for (Flit i = 0; i < 50; ++i) data.push_back(1000 + i);
+    auto& src = sys.add<SourceTile>("src", a, data, /*period=*/7);
+    src.set_jitter(/*max_jitter=*/4, /*seed=*/5);
+    const auto stage = [](CFifo& in, CFifo& out, Cycle cost, Flit add) {
+      Task t;
+      t.name = in.name() + "->" + out.name();
+      t.invoke = [&in, &out, cost, add](Cycle now) -> Cycle {
+        if (!in.can_pop(now) || !out.can_push(now)) return 0;
+        out.push(now, in.pop(now) + add);
+        return cost;
+      };
+      t.next_ready = [&in, &out](Cycle now) {
+        return std::max(in.when_fill_visible(1, now),
+                        out.when_space_visible(1, now));
+      };
+      t.wake_on_push = {&in};
+      t.wake_on_pop = {&out};
+      return t;
+    };
+    auto& first = sys.add<ProcessorTile>("first", /*replenish=*/30);
+    first.add_task(stage(a, b, 5, 1));
+    auto& second = sys.add<ProcessorTile>("second", /*replenish=*/30);
+    second.add_task(stage(b, c, 6, 2));
+    auto& sink = sys.add<SinkTile>("sink", c, /*period=*/7, /*prefill=*/3);
+    sys.run_with(kind, 800);
+    return std::make_tuple(sink.received(), sink.timestamps(),
+                           sink.underruns(), src.dropped(),
+                           first.busy_cycles(), second.busy_cycles(),
+                           sys.state_digest());
+  };
+  const auto dense = run(StepperKind::kDense);
+  const auto wake = run(StepperKind::kWakeList);
+  EXPECT_EQ(wake, dense);
+  EXPECT_GT(std::get<0>(dense).size(), 40u);
+  EXPECT_EQ(std::get<0>(dense).front(), Flit{1003});
+}
+
 // --- Full PAL decoder demonstrator -------------------------------------
 
 app::PalSimConfig small_pal() {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
+#include "sim/cfifo.hpp"
 #include "sim/system.hpp"
 
 namespace acc::sim {
@@ -75,6 +78,31 @@ TEST(ProcessorTile, BlockedTaskYieldsToOthers) {
                    50});
   sys.run(400);
   EXPECT_GT(worker, 40);  // got the cycles the blocked task couldn't use
+}
+
+TEST(ProcessorTile, HintedTaskWithoutWakeFifosIsRejected) {
+  // The wake-list stepper trusts a next_ready hint only while C-FIFO
+  // traffic can invalidate it, so a hinted task must name a wake FIFO.
+  System sys(2);
+  CFifo& f = sys.add_fifo("f", 4, 1, 1);
+  auto& pt = sys.add<ProcessorTile>("pt", /*replenish=*/100);
+  const auto task = [](bool hinted) {
+    Task t;
+    t.name = hinted ? "hinted" : "plain";
+    t.invoke = [](Cycle) -> Cycle { return 1; };
+    if (hinted) t.next_ready = [](Cycle now) { return now; };
+    return t;
+  };
+  EXPECT_THROW(pt.add_task(task(true)), precondition_error);
+  EXPECT_THROW((void)pt.invocations(0), precondition_error);  // not added
+  Task on_push = task(true);
+  on_push.wake_on_push = {&f};
+  EXPECT_NO_THROW(pt.add_task(std::move(on_push)));
+  Task on_pop = task(true);
+  on_pop.wake_on_pop = {&f};
+  EXPECT_NO_THROW(pt.add_task(std::move(on_pop)));
+  EXPECT_NO_THROW(pt.add_task(task(false)));  // unhinted: ticks densely
+  EXPECT_EQ(pt.invocations(2), 0);
 }
 
 TEST(PriorityBudget, HighPriorityDominatesWhileItHoldsBudget) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 namespace acc::sim {
 namespace {
 
@@ -206,6 +209,54 @@ TEST(Ring, MetricsCountInjectDeliverAndHops) {
   EXPECT_EQ(injected->value, 1);
   EXPECT_EQ(delivered->value, 1);
   EXPECT_EQ(hops->value, 2);  // 0->1->2: one count per occupied-slot hop
+}
+
+TEST(Ring, CopyStateFromDeliversInFlightMessagesAlike) {
+  // Mid-flight copy: occupied slots, queued injections and ejected messages
+  // nobody drained yet all move over, so both rings deliver the same
+  // payloads at the same nodes on every later tick.
+  Ring a(6, true);
+  std::uint64_t next = 1;
+  for (int t = 0; t < 5; ++t) {
+    for (const std::int32_t node : {0, 3}) {
+      RingMsg m;
+      m.dst = (node + 1 + t) % 6;
+      m.payload = next++;
+      ASSERT_TRUE(a.try_inject(node, m));
+      ASSERT_TRUE(a.try_inject(node, m));  // keep the queue non-empty
+    }
+    a.tick();
+  }
+  ASSERT_FALSE(a.idle());
+  Ring b(6, true);
+  b.copy_state_from(a);
+  EXPECT_EQ(b.cycle(), a.cycle());
+  EXPECT_EQ(b.delivered(), a.delivered());
+  StateHasher ha(0);
+  StateHasher hb(0);
+  a.snapshot_state(ha);
+  b.snapshot_state(hb);
+  EXPECT_EQ(hb.full(), ha.full());
+  const auto payloads = [](const std::vector<RingMsg>& msgs) {
+    std::vector<std::uint64_t> v;
+    for (const RingMsg& m : msgs) v.push_back(m.payload);
+    return v;
+  };
+  std::int64_t drained = 0;
+  for (int t = 0; t < 40; ++t) {
+    for (std::int32_t node = 0; node < 6; ++node) {
+      const std::vector<RingMsg> got = a.drain(node);
+      EXPECT_EQ(payloads(b.drain(node)), payloads(got))
+          << "tick " << t << " node " << node;
+      drained += static_cast<std::int64_t>(got.size());
+    }
+    a.tick();
+    b.tick();
+  }
+  EXPECT_EQ(drained, 20);
+  EXPECT_TRUE(a.idle());
+  EXPECT_TRUE(b.idle());
+  EXPECT_EQ(b.delivered(), a.delivered());
 }
 
 TEST(Flit, PackUnpackRoundTrip) {

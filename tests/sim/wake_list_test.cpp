@@ -18,12 +18,15 @@
 //      between runs ticks when dense would, and both steppers agree on the
 //      digest across a retirement;
 //   5. a tick that throws mid-cycle leaves the system usable: its state can
-//      be overwritten, a parked component retired, and the run continued.
+//      be overwritten, a parked component retired, and the run continued
+//      (run and run_until alike), from the same half-stepped state dense
+//      stepping leaves.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -606,6 +609,50 @@ TEST(WakeListThrow, ThrowingTickLeavesTheSystemUsable) {
     EXPECT_EQ(r.drain->received(), 20);
     EXPECT_EQ(r.drain->received(), ref.drain->received());
   }
+}
+
+TEST(WakeListThrow, StateAtTheThrowMatchesDense) {
+  // The thrown cycle is left half-stepped the same way under both
+  // steppers: the slots before the thrower ticked, the ones after did not.
+  // Covers a throw in the very first cycle, in a cycle the source emits in,
+  // in one it does not, and after the system went idle (a skipped range).
+  for (const Cycle at : {Cycle{0}, Cycle{3}, Cycle{15}, Cycle{16}, Cycle{90}}) {
+    SCOPED_TRACE("throw at " + std::to_string(at));
+    ThrowRig wake(at);
+    ThrowRig dense(at);
+    EXPECT_THROW(wake.sys.run(120), std::runtime_error);
+    EXPECT_THROW(dense.sys.run_dense(120), std::runtime_error);
+    EXPECT_EQ(wake.sys.now(), at);
+    EXPECT_EQ(dense.sys.now(), at);
+    EXPECT_EQ(wake.sys.state_digest(), dense.sys.state_digest());
+    EXPECT_EQ(wake.drain->received(), dense.drain->received());
+
+    wake.sys.retire(*wake.thrower);
+    dense.sys.retire(*dense.thrower);
+    wake.sys.run(100);
+    dense.sys.run_dense(100);
+    EXPECT_EQ(wake.sys.state_digest(), dense.sys.state_digest());
+    EXPECT_EQ(wake.drain->received(), 20);
+  }
+}
+
+TEST(WakeListThrow, ThrowInsideRunUntilLeavesTheSystemUsable) {
+  // run_until steps through the same guarded cycle. After the throw the
+  // thrower is retired and the predicate run picks up again: it must stop
+  // at the cycle dense single-stepping stops at, in the same state.
+  ThrowRig r(/*throw_at=*/15);
+  const auto all_in = [&r](Cycle) { return r.drain->received() == 20; };
+  EXPECT_THROW((void)r.sys.run_until(all_in, 200), std::runtime_error);
+  EXPECT_EQ(r.sys.now(), 15);
+  r.sys.retire(*r.thrower);
+  ASSERT_TRUE(r.sys.run_until(all_in, 200));
+
+  ThrowRig ref(/*throw_at=*/15);
+  EXPECT_THROW(ref.sys.run_dense(200), std::runtime_error);
+  ref.sys.retire(*ref.thrower);
+  while (ref.drain->received() < 20) ref.sys.run_dense(1);
+  EXPECT_EQ(r.sys.now(), ref.sys.now());
+  EXPECT_EQ(r.sys.state_digest(), ref.sys.state_digest());
 }
 
 TEST(WakeListThrow, RunningOnAfterAThrowMatchesDense) {

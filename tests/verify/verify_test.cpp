@@ -232,6 +232,32 @@ TEST(VerifyFork, ComponentWithoutStateCopyFailsLoudly) {
   EXPECT_THROW(clock.copy_state_from(swapper), invariant_error);
 }
 
+// The V06 mutation throws from inside a simulated cycle. The explorer then
+// overwrites that scratch runner with another state and drives it on: it
+// must behave exactly like a runner that never threw.
+TEST(VerifyFork, RunnerThatThrewMidCycleCanBeOverwritten) {
+  const ModelSpec ms = model_spec_of(read_fixture("V06_bad.json"),
+                                     "V06_bad.json");
+  const Action feed0{Action::Kind::kFeed, 0};
+  const Action step{Action::Kind::kStep, -1};
+  const Action run{Action::Kind::kRun, -1};
+  Runner thrown(ms);
+  thrown.apply(feed0);
+  thrown.apply(step);
+  ASSERT_EQ(thrown.violations().size(), 1u);
+  EXPECT_EQ(thrown.violations().front().rule, "V06");
+
+  Runner fresh(ms);
+  thrown.copy_state_from(fresh);
+  EXPECT_EQ(observe(thrown), observe(fresh));
+  for (const Action& a : {run, feed0, step}) {
+    thrown.apply(a);
+    fresh.apply(a);
+    ASSERT_EQ(observe(thrown), observe(fresh)) << action_name(a);
+  }
+  EXPECT_EQ(fresh.violations().size(), 1u);  // the next block throws again
+}
+
 // The four shipped configs at the benchmark's budgets: the search result
 // (states, depth, truncated) is pinned for any --jobs, and so is the work,
 // counted in Runner::apply calls (path replays included). Expanding by
