@@ -12,8 +12,6 @@
 //       remainders misaligned with the consumer's chunk make SMALLER blocks
 //       need LARGER buffers, the paper's headline observation
 //       (its Fig. 8(b): alpha(2)=6 > alpha(5)=5).
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 
 #include "common/table.hpp"
@@ -21,28 +19,19 @@
 #include "dataflow/graph.hpp"
 #include "sharing/nonmonotone.hpp"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace acc;
   using namespace acc::sharing;
 
-  // --jobs N: DSE worker threads for the sweeps (results are identical for
-  // any value; see docs/analysis.md).
-  int jobs = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc)
-      jobs = std::atoi(argv[++i]);
-  }
   df::DseStats stats;
 
-  std::cout << "=== Fig. 8: non-monotone minimum buffer capacity vs block size ===\n";
-  std::cout << "(DSE engine: " << (jobs == 0 ? "hw" : std::to_string(jobs))
-            << " worker thread(s))\n\n";
+  std::cout << "=== Fig. 8: non-monotone minimum buffer capacity vs block size ===\n\n";
 
   std::cout << "(a) baseline two-actor sweep (producer dur 1 -> consumer "
                "dur 5 consuming eta): MONOTONE\n";
   Table base({"eta", "max throughput", "min capacity"});
   std::vector<std::int64_t> base_caps;
-  for (const BufferSweepPoint& p : two_actor_buffer_sweep(1, 5, 1, 8, jobs, &stats)) {
+  for (const BufferSweepPoint& p : two_actor_buffer_sweep(1, 5, 1, 8, &stats)) {
     base.add_row({std::to_string(p.eta), p.max_throughput.str(),
                   std::to_string(p.min_capacity)});
     base_caps.push_back(p.min_capacity);
@@ -55,7 +44,7 @@ int main(int argc, char** argv) {
                "at sample period 3:\n";
   Table nm({"eta", "min capacity", "note"});
   std::vector<std::int64_t> caps;
-  const auto pts = chunked_consumer_buffer_sweep(6, 1, 3, 4, 3, 16, jobs, &stats);
+  const auto pts = chunked_consumer_buffer_sweep(6, 1, 3, 4, 3, 16, &stats);
   for (const BufferSweepPoint& p : pts) {
     std::string note;
     if (p.min_capacity < 0) {
@@ -76,7 +65,7 @@ int main(int argc, char** argv) {
   Table nm8({"eta", "min capacity"});
   std::vector<std::int64_t> caps8;
   for (const BufferSweepPoint& p :
-       chunked_consumer_buffer_sweep(10, 1, 2, 8, 10, 24, jobs, &stats)) {
+       chunked_consumer_buffer_sweep(10, 1, 2, 8, 10, 24, &stats)) {
     nm8.add_row({std::to_string(p.eta),
                  p.min_capacity < 0 ? "-" : std::to_string(p.min_capacity)});
     if (p.min_capacity >= 0) caps8.push_back(p.min_capacity);
@@ -111,7 +100,7 @@ int main(int argc, char** argv) {
     sys.streams = {{"s", Rational(1, 8), 10}};
     Table gw({"eta", "alpha0", "alpha3", "total"});
     for (const GatewayBufferPoint& p :
-         gateway_buffer_sweep(sys, 0, 8, 2, 6, jobs, &stats)) {
+         gateway_buffer_sweep(sys, 0, 8, 2, 6, &stats)) {
       gw.add_row({std::to_string(p.eta),
                   p.feasible ? std::to_string(p.alpha0) : "-",
                   p.feasible ? std::to_string(p.alpha3) : "-",

@@ -112,13 +112,12 @@ void BM_BufferSizing(benchmark::State& state) {
   sys.streams = {{"s", Rational(1, 8), 10}};
   const sharing::BlockSizeResult blocks =
       sharing::solve_block_sizes_fixpoint(sys);
-  const int jobs = static_cast<int>(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(sharing::min_buffers_for_stream(
-        sys, 0, blocks.eta, 8, /*consumer_chunk=*/1, jobs));
+        sys, 0, blocks.eta, 8, /*consumer_chunk=*/1));
   }
 }
-BENCHMARK(BM_BufferSizing)->Arg(1)->Arg(4);
+BENCHMARK(BM_BufferSizing);
 
 void BM_CsdfModelExecution(benchmark::State& state) {
   sharing::SharedSystemSpec sys;
@@ -255,14 +254,12 @@ BENCHMARK(BM_KernelFmDemodScalar)->Arg(16)->Arg(256)->ArgName("block");
 BENCHMARK(BM_KernelFmDemodBlock)->Arg(16)->Arg(256)->ArgName("block");
 
 /// Machine-readable perf trajectory of the DSE engine: BENCH_dse.json with
-/// wall time, simulation count, cache hit rate and pruning wins for jobs=1
-/// and jobs=N (--jobs, default 4). The workload and document builder live
-/// in sharing/bench_doc.hpp so the schema tests cover the shipping code.
-void emit_dse_json(int jobs, const std::string& path) {
-  const sharing::DseWorkload workload;  // historical bench scale
+/// the wall time, simulation count, cache hit rate and pruning wins of one
+/// run. The workload and document builder live in sharing/bench_doc.hpp so
+/// the schema tests cover the shipping code.
+void emit_dse_json(const std::string& path) {
   json::Array runs;
-  runs.push_back(json::Value(sharing::dse_run(workload, 1)));
-  if (jobs != 1) runs.push_back(json::Value(sharing::dse_run(workload, jobs)));
+  runs.push_back(json::Value(sharing::dse_run(sharing::DseWorkload{})));
   const json::Value doc = sharing::dse_bench_doc(std::move(runs));
 
   const std::vector<std::string> problems = validate_bench_dse(doc);
@@ -279,8 +276,7 @@ void emit_dse_json(int jobs, const std::string& path) {
   else
     std::cout << "WARNING: could not write " << path << "\n";
   for (const json::Value& r : doc.at("runs").as_array()) {
-    std::cout << "  dse workload, jobs=" << r.at("jobs").as_int() << ": "
-              << r.at("wall_ms").as_double() << " ms, "
+    std::cout << "  dse workload: " << r.at("wall_ms").as_double() << " ms, "
               << r.at("simulations").as_int() << " simulations, cache hit rate "
               << r.at("cache_hit_rate").as_double() << ", pruned "
               << (r.at("pruned_infeasible").as_int() +
@@ -436,7 +432,6 @@ void emit_observability(bool fast, bool want_metrics,
 
 int main(int argc, char** argv) {
   // Strip our flags before google-benchmark parses the rest.
-  int jobs = 4;
   std::string json_path = "BENCH_dse.json";
   std::string sim_json_path = "BENCH_sim.json";
   std::string sim_baseline;
@@ -448,9 +443,7 @@ int main(int argc, char** argv) {
   std::vector<char*> rest;
   rest.push_back(argv[0]);
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      jobs = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--dse-json") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--dse-json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--sim-json") == 0 && i + 1 < argc) {
       sim_json_path = argv[++i];
@@ -479,7 +472,7 @@ int main(int argc, char** argv) {
     return ok ? 0 : 1;
   }
 
-  emit_dse_json(jobs, json_path);
+  emit_dse_json(json_path);
   if (!emit_sim_json(sim_fast, sim_json_path, sim_baseline)) return 1;
   if (observe)
     emit_observability(sim_fast, want_metrics, chrome_path, report_path);

@@ -1,7 +1,7 @@
 // Block-size explorer: interactively study the trade-offs of §V of the
 // paper for a single stream on a shared chain.
 //
-//   usage: blocksize_explorer [--jobs N] [reconfig] [epsilon] [sample_period] [eta_max]
+//   usage: blocksize_explorer [--no-lint] [reconfig] [epsilon] [sample_period] [eta_max]
 //
 // For each block size eta it prints the worst-case block time tau_hat
 // (Eq. 2), whether the throughput constraint holds (Eq. 5), and the minimum
@@ -27,17 +27,11 @@ int main(int argc, char** argv) {
   using namespace acc;
   using namespace acc::sharing;
 
-  // Pull --jobs N / --no-lint out of argv; the rest stays positional.
-  int jobs = 1;
+  // Pull --no-lint out of argv (lint::startup_gate below handles it); the
+  // rest stays positional.
   std::vector<char*> pos;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc)
-      jobs = std::atoi(argv[++i]);
-    else if (std::strcmp(argv[i], "--no-lint") == 0)
-      ;  // handled by lint::startup_gate below
-    else
-      pos.push_back(argv[i]);
-  }
+  for (int i = 1; i < argc; ++i)
+    if (std::strcmp(argv[i], "--no-lint") != 0) pos.push_back(argv[i]);
   df::DseStats stats;
 
   const Time reconfig = pos.size() > 0 ? std::atoll(pos[0]) : 50;
@@ -78,7 +72,7 @@ int main(int argc, char** argv) {
     std::string tot = "-";
     if (ok) {
       const StreamBufferResult buf = min_buffers_for_stream(
-          sys, 0, {eta}, period, /*consumer_chunk=*/1, jobs, &stats);
+          sys, 0, {eta}, period, /*consumer_chunk=*/1, &stats);
       if (buf.feasible) {
         a0 = std::to_string(buf.alpha0);
         a3 = std::to_string(buf.alpha3);
@@ -96,7 +90,7 @@ int main(int argc, char** argv) {
                "down-sampling consumer, paper Fig. 8):\n";
   const auto pts = chunked_consumer_buffer_sweep(
       /*reconfig=*/10, /*per_sample=*/1, /*sample_period=*/2, /*chunk=*/8,
-      /*eta_lo=*/10, /*eta_hi=*/24, jobs, &stats);
+      /*eta_lo=*/10, /*eta_hi=*/24, &stats);
   Table nm({"eta", "min buffer"});
   std::vector<std::int64_t> caps;
   for (const auto& p : pts) {
@@ -109,8 +103,7 @@ int main(int argc, char** argv) {
   std::cout << "non-monotone: " << (is_non_monotone(caps) ? "YES" : "no")
             << " — smaller blocks can need LARGER buffers\n";
 
-  std::cout << "\nDSE engine (" << (jobs == 0 ? "hw" : std::to_string(jobs))
-            << " worker thread(s)): " << stats.simulations
+  std::cout << "\nDSE engine: " << stats.simulations
             << " simulations, cache hit rate "
             << fmt_double(stats.cache_hit_rate(), 2) << ", " << stats.pruned()
             << " candidates answered by monotone pruning\n";

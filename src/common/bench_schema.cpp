@@ -85,8 +85,7 @@ std::vector<std::string> validate_bench_dse(const json::Value& doc) {
   for (std::size_t i = 0; i < runs->as_array().size(); ++i) {
     const std::string path = "$.runs[" + std::to_string(i) + "]";
     require_all(runs->as_array()[i], path,
-                {{"jobs", Kind::kInt},
-                 {"wall_ms", Kind::kNumber},
+                {{"wall_ms", Kind::kNumber},
                  {"simulations", Kind::kInt},
                  {"cache_hits", Kind::kInt},
                  {"cache_misses", Kind::kInt},

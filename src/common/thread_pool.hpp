@@ -1,9 +1,11 @@
-// Fixed-size thread pool for embarrassingly parallel design-space searches.
+// Fixed-size thread pool for embarrassingly parallel work.
 //
-// Deliberately simple — no work stealing, no futures: the DSE engine submits
-// waves of independent simulation closures and barriers on wait_idle().
-// Tasks receive a worker index in [0, size()) so callers can hand each
-// concurrent task private mutable state (e.g. a Graph clone) without locks.
+// Deliberately simple — no work stealing, no futures: callers submit waves
+// of independent closures and barrier on wait_idle(). Its users are
+// acc-verify's frontier expansion, the fault and churn campaigns and the
+// ablation benches. Tasks receive a worker index in [0, size()) so callers
+// can hand each concurrent task private mutable state (e.g. a scratch model)
+// without locks.
 // A pool of size <= 1 runs every task inline at submit() time, so
 // single-threaded behaviour is exactly the serial code path (and safe to use
 // from contexts that must not spawn threads).

@@ -9,8 +9,7 @@ namespace acc::df {
 // The search entry points below all route through the DSE engine
 // (dataflow/dse.hpp): it snapshots the graph (so the caller's capacities are
 // trivially preserved), validates once, memoizes every simulated capacity
-// vector and applies monotone feasibility pruning. `opt.jobs` controls the
-// worker-thread count; results are identical for every value.
+// vector and applies monotone feasibility pruning.
 
 namespace {
 

@@ -70,9 +70,6 @@ struct BufferSizingOptions {
   std::int64_t max_capacity = 4096;
   /// Iteration budget for each underlying throughput analysis.
   std::int64_t max_iterations = 200000;
-  /// Worker threads for the DSE engine: 1 = serial (the default), 0 = one
-  /// per hardware thread. Results are identical for every value.
-  int jobs = 1;
   /// When set, engine counters are accumulated here on return.
   DseStats* stats = nullptr;
 };
@@ -88,6 +85,7 @@ struct BufferSizingOptions {
 
 /// Maximum achievable throughput with all the given channels opened up to
 /// max_capacity (other buffers untouched). Restores capacities on return.
+/// Throws if max_capacity is below a channel's structural lower bound.
 [[nodiscard]] Rational max_throughput_with_unbounded_channels(
     Graph& g, const std::vector<Channel>& channels, ActorId reference,
     const BufferSizingOptions& opt = {});
@@ -122,8 +120,7 @@ struct ParetoPoint {
 /// Exact minimum-total capacity assignment over `channels` such that the
 /// throughput target is met. Exhaustive staircase search (exponential in the
 /// channel count — intended for the small analysis graphs of the paper),
-/// executed by the DSE engine: memoized, monotone-pruned, and parallel over
-/// `opt.jobs` workers with thread-count-independent results.
+/// executed by the DSE engine: memoized and monotone-pruned.
 /// Restores original capacities on return.
 [[nodiscard]] MultiBufferResult minimize_total_capacity(
     Graph& g, const std::vector<Channel>& channels, ActorId reference,

@@ -1,6 +1,7 @@
 #include "dataflow/dse.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
 
 #include "dataflow/executor.hpp"
@@ -30,8 +31,7 @@ DseEngine::DseEngine(const Graph& g, std::vector<Channel> channels,
     : channels_(std::move(channels)),
       reference_(reference),
       opt_(opt),
-      pool_(opt.jobs == 0 ? ThreadPool::hardware_threads()
-                          : static_cast<std::size_t>(std::max(1, opt.jobs))) {
+      graph_(g) {
   ACC_EXPECTS(!channels_.empty());
   ACC_EXPECTS(reference_ >= 0 &&
               static_cast<std::size_t>(reference_) < g.num_actors());
@@ -41,8 +41,7 @@ DseEngine::DseEngine(const Graph& g, std::vector<Channel> channels,
     ACC_EXPECTS(ch.space >= 0 &&
                 static_cast<std::size_t>(ch.space) < g.num_edges());
   }
-  g.validate();  // once; every simulation skips re-validation
-  worker_graphs_.assign(pool_.size(), g);
+  graph_.validate();  // once; every simulation skips re-validation
 
   // Structural fingerprint: everything that determines throughput except the
   // managed capacities (those are the memo key). Managed space edges
@@ -73,46 +72,34 @@ std::vector<std::int64_t> DseEngine::snapshot_capacities() const {
   std::vector<std::int64_t> caps;
   caps.reserve(channels_.size());
   for (const Channel& ch : channels_)
-    caps.push_back(worker_graphs_[0].channel_capacity(ch));
+    caps.push_back(graph_.channel_capacity(ch));
   return caps;
 }
 
-Rational DseEngine::simulate(std::size_t worker, const CapVec& caps) {
-  Graph& g = worker_graphs_[worker];
+Rational DseEngine::simulate(const CapVec& caps) {
   for (std::size_t i = 0; i < channels_.size(); ++i)
-    g.set_channel_capacity(channels_[i], caps[i]);
-  SelfTimedExecutor exec(g, assume_validated);
+    graph_.set_channel_capacity(channels_[i], caps[i]);
+  SelfTimedExecutor exec(graph_, assume_validated);
   const ThroughputResult r =
       exec.analyze_throughput(reference_, opt_.max_iterations);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.simulations;
-    ++stats_.cache_misses;
-    stats_.firings += r.firings;
-  }
+  ++stats_.simulations;
+  ++stats_.cache_misses;
+  stats_.firings += r.firings;
   if (r.deadlocked) return Rational(0);
   return r.throughput;
 }
 
-Rational DseEngine::throughput_on(std::size_t worker, const CapVec& caps) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = memo_.find(caps);
-    if (it != memo_.end()) {
-      ++stats_.cache_hits;
-      return it->second;
-    }
+Rational DseEngine::throughput(const std::vector<std::int64_t>& caps) {
+  ACC_EXPECTS(caps.size() == channels_.size());
+  const auto it = memo_.find(caps);
+  if (it != memo_.end()) {
+    ++stats_.cache_hits;
+    return it->second;
   }
-  const Rational t = simulate(worker, caps);
-  std::lock_guard<std::mutex> lock(mu_);
+  const Rational t = simulate(caps);
   memo_.emplace(caps, t);
   if (has_target_) frontier_note(caps, t >= target_);
   return t;
-}
-
-Rational DseEngine::throughput(const std::vector<std::int64_t>& caps) {
-  ACC_EXPECTS(caps.size() == channels_.size());
-  return throughput_on(0, caps);
 }
 
 std::optional<bool> DseEngine::frontier_implies(const CapVec& caps) const {
@@ -148,7 +135,6 @@ void DseEngine::frontier_note(const CapVec& caps, bool ok) {
 }
 
 void DseEngine::set_target(const Rational& target) {
-  std::lock_guard<std::mutex> lock(mu_);
   if (has_target_ && target_ == target) return;
   target_ = target;
   has_target_ = true;
@@ -156,53 +142,48 @@ void DseEngine::set_target(const Rational& target) {
   infeasible_max_.clear();
 }
 
-bool DseEngine::feasible_on(std::size_t worker, const CapVec& caps,
-                            const Rational& target) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = memo_.find(caps);
-    if (it != memo_.end()) {
-      ++stats_.cache_hits;
-      const bool ok = it->second >= target;
-      frontier_note(caps, ok);
-      return ok;
-    }
-    if (const std::optional<bool> implied = frontier_implies(caps)) {
-      ++(*implied ? stats_.pruned_feasible : stats_.pruned_infeasible);
-      return *implied;
-    }
+bool DseEngine::feasible(const std::vector<std::int64_t>& caps,
+                         const Rational& target) {
+  ACC_EXPECTS(caps.size() == channels_.size());
+  set_target(target);
+  const auto it = memo_.find(caps);
+  if (it != memo_.end()) {
+    ++stats_.cache_hits;
+    const bool ok = it->second >= target;
+    frontier_note(caps, ok);
+    return ok;
   }
-  const Rational t = simulate(worker, caps);
-  std::lock_guard<std::mutex> lock(mu_);
+  if (const std::optional<bool> implied = frontier_implies(caps)) {
+    ++(*implied ? stats_.pruned_feasible : stats_.pruned_infeasible);
+    return *implied;
+  }
+  const Rational t = simulate(caps);
   memo_.emplace(caps, t);
   const bool ok = t >= target;
   frontier_note(caps, ok);
   return ok;
 }
 
-bool DseEngine::feasible(const std::vector<std::int64_t>& caps,
-                         const Rational& target) {
-  ACC_EXPECTS(caps.size() == channels_.size());
-  set_target(target);
-  return feasible_on(0, caps, target);
-}
-
 Rational DseEngine::max_throughput_unbounded() {
   // Approximate "unbounded" by doubling a uniform finite cap until the
   // throughput saturates; monotonicity makes the last value the supremum
-  // once two consecutive doublings agree.
+  // once two consecutive doublings agree. The last step probes max_capacity
+  // itself, so a doubling that would overshoot it cannot hide a higher
+  // throughput.
   std::int64_t cap = 1;
   for (const Channel& ch : channels_)
-    cap = std::max(cap, channel_capacity_lower_bound(worker_graphs_[0], ch));
+    cap = std::max(cap, channel_capacity_lower_bound(graph_, ch));
+  ACC_CHECK_MSG(cap <= opt_.max_capacity,
+                "max_capacity is below a channel's structural lower bound");
   Rational best(-1);
-  while (cap <= opt_.max_capacity) {
+  for (;;) {
     const Rational t = throughput(CapVec(channels_.size(), cap));
     if (t == best) return t;  // saturated
     ACC_CHECK_MSG(t > best, "throughput not monotone in capacity (bug)");
     best = t;
-    cap *= 2;
+    if (cap == opt_.max_capacity) return best;
+    cap = std::min(opt_.max_capacity, cap * 2);
   }
-  return best;
 }
 
 std::int64_t DseEngine::min_capacity_for(std::size_t idx,
@@ -210,18 +191,19 @@ std::int64_t DseEngine::min_capacity_for(std::size_t idx,
                                          const Rational& target) {
   ACC_EXPECTS(idx < channels_.size());
   ACC_EXPECTS(caps.size() == channels_.size());
-  set_target(target);
   const auto probe = [&](std::int64_t c) {
     caps[idx] = c;
-    return feasible_on(0, caps, target);
+    return feasible(caps, target);
   };
 
-  std::int64_t lo =
-      channel_capacity_lower_bound(worker_graphs_[0], channels_[idx]);
+  std::int64_t lo = channel_capacity_lower_bound(graph_, channels_[idx]);
+  ACC_CHECK_MSG(lo <= opt_.max_capacity,
+                "max_capacity is below the channel's structural lower bound");
   if (probe(lo)) return lo;
   // Exponential probe for a feasible upper bound, then binary search; valid
   // because throughput is monotone in the capacity.
-  std::int64_t hi = std::max<std::int64_t>(lo * 2, lo + 1);
+  std::int64_t hi =
+      std::min(opt_.max_capacity, std::max<std::int64_t>(lo * 2, lo + 1));
   while (!probe(hi)) {
     ACC_CHECK_MSG(hi < opt_.max_capacity,
                   "throughput target unreachable for any channel capacity");
@@ -237,30 +219,12 @@ std::int64_t DseEngine::min_capacity_for(std::size_t idx,
 std::vector<ParetoPoint> DseEngine::pareto_sweep(std::size_t idx) {
   ACC_EXPECTS(idx < channels_.size());
   const Rational best = max_throughput_unbounded();
-  const std::int64_t lb =
-      channel_capacity_lower_bound(worker_graphs_[0], channels_[idx]);
+  const std::int64_t lb = channel_capacity_lower_bound(graph_, channels_[idx]);
   CapVec caps = snapshot_capacities();
 
   std::vector<ParetoPoint> out;
   Rational prev(-1);
-  std::int64_t next_prefetch = lb;
   for (std::int64_t cap = lb; cap <= opt_.max_capacity; ++cap) {
-    if (pool_.size() > 1 && cap >= next_prefetch) {
-      // Speculatively warm the memo for the next wave of capacities; the
-      // staircase itself is read strictly in order below, so the result is
-      // identical to the serial sweep.
-      const std::int64_t wave_end = std::min<std::int64_t>(
-          opt_.max_capacity, cap + static_cast<std::int64_t>(pool_.size()) - 1);
-      for (std::int64_t c = cap; c <= wave_end; ++c) {
-        CapVec probe = caps;
-        probe[idx] = c;
-        pool_.submit([this, probe = std::move(probe)](std::size_t w) {
-          (void)throughput_on(w, probe);
-        });
-      }
-      pool_.wait_idle();
-      next_prefetch = wave_end + 1;
-    }
     caps[idx] = cap;
     const Rational t = throughput(caps);
     ACC_CHECK_MSG(t >= prev, "throughput not monotone in capacity (bug)");
@@ -296,9 +260,8 @@ MultiBufferResult DseEngine::minimize_total(const Rational& target) {
       std::accumulate(upper.begin(), upper.end(), std::int64_t{0});
 
   // Staircase: try total budgets in increasing order; within a budget,
-  // enumerate all assignments >= lower bounds in the canonical (serial DFS)
-  // order and return the first feasible one. Feasibility of each vector is a
-  // pure function of the vector, so the winner never depends on thread count.
+  // enumerate all assignments >= lower bounds in the classic DFS order and
+  // return the first feasible one.
   std::vector<CapVec> cands;
   CapVec scratch(k);
   const std::function<void(std::size_t, std::int64_t)> enumerate =
@@ -320,74 +283,33 @@ MultiBufferResult DseEngine::minimize_total(const Rational& target) {
     cands.clear();
     enumerate(0, total - base_total);
 
+    // Resolve everything the memo and the monotone frontier already decide,
+    // then probe the rest in order.
     enum class St : char { unknown, feas, infeas };
     std::vector<St> st(cands.size(), St::unknown);
-    // Resolve everything the memo and the monotone frontier already decide.
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (std::size_t i = 0; i < cands.size(); ++i) {
-        const auto it = memo_.find(cands[i]);
-        if (it != memo_.end()) {
-          ++stats_.cache_hits;
-          st[i] = it->second >= target ? St::feas : St::infeas;
-        } else if (const std::optional<bool> implied =
-                       frontier_implies(cands[i])) {
-          ++(*implied ? stats_.pruned_feasible : stats_.pruned_infeasible);
-          st[i] = *implied ? St::feas : St::infeas;
-        }
+    for (std::size_t i = 0; i < cands.size(); ++i) {
+      const auto it = memo_.find(cands[i]);
+      if (it != memo_.end()) {
+        ++stats_.cache_hits;
+        st[i] = it->second >= target ? St::feas : St::infeas;
+      } else if (const std::optional<bool> implied =
+                     frontier_implies(cands[i])) {
+        ++(*implied ? stats_.pruned_feasible : stats_.pruned_infeasible);
+        st[i] = *implied ? St::feas : St::infeas;
       }
     }
-
-    const auto make_result = [&](std::size_t i) {
-      MultiBufferResult res;
-      res.capacities = cands[i];
-      res.total = total;
-      return res;
-    };
-
-    if (pool_.size() <= 1) {
-      // Serial: identical probe sequence to the classic DFS, minus memo and
-      // frontier savings.
-      for (std::size_t i = 0; i < cands.size(); ++i) {
-        if (st[i] == St::infeas) continue;
-        if (st[i] == St::feas || feasible_on(0, cands[i], target))
-          return make_result(i);
+    for (std::size_t i = 0; i < cands.size(); ++i) {
+      if (st[i] == St::infeas) continue;
+      if (st[i] == St::feas || feasible(cands[i], target)) {
+        MultiBufferResult res;
+        res.capacities = cands[i];
+        res.total = total;
+        return res;
       }
-      continue;
-    }
-
-    // Parallel: evaluate unknown candidates in order in waves; after each
-    // wave the answer is the first feasible candidate with no unresolved
-    // predecessor. Wave tasks write disjoint st[] slots.
-    const std::size_t wave = 4 * pool_.size();
-    std::size_t scan = 0;  // candidates before `scan` are resolved
-    for (;;) {
-      while (scan < cands.size() && st[scan] != St::unknown) ++scan;
-      // A feasible candidate in the resolved prefix wins; pick the earliest.
-      for (std::size_t i = 0; i < scan; ++i)
-        if (st[i] == St::feas) return make_result(i);
-      if (scan == cands.size()) break;  // budget exhausted, all infeasible
-
-      std::size_t scheduled = 0;
-      for (std::size_t i = scan; i < cands.size() && scheduled < wave; ++i) {
-        if (st[i] != St::unknown) continue;
-        ++scheduled;
-        St* slot = &st[i];
-        const CapVec* caps = &cands[i];
-        pool_.submit([this, slot, caps, &target](std::size_t w) {
-          *slot = feasible_on(w, *caps, target) ? St::feas : St::infeas;
-        });
-      }
-      pool_.wait_idle();
     }
   }
   throw invariant_error(
       "minimize_total_capacity: upper-bound assignment infeasible (bug)");
-}
-
-DseStats DseEngine::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
 }
 
 }  // namespace acc::df

@@ -6,9 +6,6 @@
 // exact self-timed simulation. This engine makes that exploration fast
 // without changing any answer:
 //
-//  - a fixed-size thread pool evaluates independent capacity vectors
-//    concurrently, each worker owning a private Graph clone so capacity
-//    mutation never races;
 //  - a memo cache keyed by the capacity vector (guarded by a structural
 //    graph fingerprint) makes repeated probes free — the staircase search,
 //    the per-channel binary searches and the saturation probes overlap a lot;
@@ -17,22 +14,19 @@
 //    infeasible vector kills every component-wise-smaller candidate and a
 //    feasible vector answers every component-wise-larger one, turning the
 //    budget staircase into a frontier search;
-//  - simulations skip Graph::validate() (the engine validates its clones
-//    once) and use the executor's allocation-free state hashing.
+//  - simulations skip Graph::validate() (the engine validates its private
+//    graph copy once) and use the executor's allocation-free state hashing.
 //
-// Results are bit-identical across thread counts: feasibility of a vector is
-// a pure function of the vector, and every search picks winners by candidate
-// enumeration order, never by completion order.
+// The searches run sequentially: each probe reads the memo and frontier the
+// earlier probes left, and a worker pool measured slower than one thread.
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
 #include "common/rational.hpp"
-#include "common/thread_pool.hpp"
 #include "dataflow/buffer_sizing.hpp"
 #include "dataflow/graph.hpp"
 
@@ -41,13 +35,11 @@ namespace acc::df {
 class DseEngine {
  public:
   /// Snapshots `g` (the engine never mutates the caller's graph) and
-  /// validates the clone once; all simulations skip re-validation.
+  /// validates the copy once; all simulations skip re-validation.
   DseEngine(const Graph& g, std::vector<Channel> channels, ActorId reference,
             BufferSizingOptions opt = {});
 
   [[nodiscard]] std::size_t num_channels() const { return channels_.size(); }
-  /// Threads actually used (opt.jobs resolved; 0 means hardware threads).
-  [[nodiscard]] std::size_t jobs() const { return pool_.size(); }
   /// Capacities of the managed channels in the snapshot.
   [[nodiscard]] std::vector<std::int64_t> snapshot_capacities() const;
   /// FNV-1a hash of the graph structure (rates, durations, initial tokens)
@@ -56,7 +48,7 @@ class DseEngine {
   [[nodiscard]] std::uint64_t graph_fingerprint() const { return fingerprint_; }
 
   /// Exact throughput of the reference actor with the managed channels at
-  /// `caps` (memoized; thread-safe; deadlock reports as 0).
+  /// `caps` (memoized; deadlock reports as 0).
   [[nodiscard]] Rational throughput(const std::vector<std::int64_t>& caps);
 
   /// Memoized + pruned `throughput(caps) >= target`. The pruning frontier is
@@ -66,27 +58,29 @@ class DseEngine {
 
   /// Saturating-doubling estimate of the supremum throughput over the
   /// managed channels (equivalent to the classic unbounded-channel probe).
+  /// The last doubling step probes max_capacity itself. Throws
+  /// invariant_error if max_capacity is below a channel's structural lower
+  /// bound.
   [[nodiscard]] Rational max_throughput_unbounded();
 
   /// Exact minimum capacity of channel `idx` reaching `target` with the
   /// other channels fixed at `caps` (exponential probe + binary search).
-  /// Throws invariant_error if even max_capacity cannot reach the target.
+  /// Never probes above max_capacity; throws invariant_error if even
+  /// max_capacity cannot reach the target.
   [[nodiscard]] std::int64_t min_capacity_for(std::size_t idx,
                                               std::vector<std::int64_t> caps,
                                               const Rational& target);
 
   /// Full capacity/throughput staircase of channel `idx`, other channels at
-  /// their snapshot capacities. With jobs > 1 the sweep evaluates capacities
-  /// speculatively in waves; the returned staircase is identical either way.
+  /// their snapshot capacities.
   [[nodiscard]] std::vector<ParetoPoint> pareto_sweep(std::size_t idx);
 
-  /// Exact minimum-total capacity assignment meeting `target` — the parallel,
-  /// memoized, pruned replacement of the serial budget-staircase DFS. The
-  /// result (vector and total) is independent of the thread count.
+  /// Exact minimum-total capacity assignment meeting `target` — the
+  /// memoized, pruned form of the budget-staircase DFS, probing candidates
+  /// in the DFS order.
   [[nodiscard]] MultiBufferResult minimize_total(const Rational& target);
 
-  /// Snapshot of the counters (thread-safe).
-  [[nodiscard]] DseStats stats() const;
+  [[nodiscard]] const DseStats& stats() const { return stats_; }
 
  private:
   using CapVec = std::vector<std::int64_t>;
@@ -95,33 +89,23 @@ class DseEngine {
     std::size_t operator()(const CapVec& v) const;
   };
 
-  /// Run one simulation on the given worker's private graph clone.
-  [[nodiscard]] Rational simulate(std::size_t worker, const CapVec& caps);
-  /// Memoized throughput usable from pool tasks.
-  [[nodiscard]] Rational throughput_on(std::size_t worker, const CapVec& caps);
-  /// Memoized + pruned feasibility usable from pool tasks.
-  [[nodiscard]] bool feasible_on(std::size_t worker, const CapVec& caps,
-                                 const Rational& target);
+  /// Run one simulation on the private graph copy.
+  [[nodiscard]] Rational simulate(const CapVec& caps);
 
   /// Frontier lookup: nullopt if the point's feasibility is not implied.
-  /// Must be called with mu_ held.
   [[nodiscard]] std::optional<bool> frontier_implies(const CapVec& caps) const;
   /// Record a decided point into the frontier (dominance-filtered).
-  /// Must be called with mu_ held.
   void frontier_note(const CapVec& caps, bool ok);
-  /// Reset the frontier when the feasibility target changes. Locks mu_.
+  /// Reset the frontier when the feasibility target changes.
   void set_target(const Rational& target);
 
   std::vector<Channel> channels_;
   ActorId reference_;
   BufferSizingOptions opt_;
   std::uint64_t fingerprint_ = 0;
-  ThreadPool pool_;
-  /// One private clone per worker (index = worker id); clone 0 doubles as
-  /// the driver-thread graph for serial phases.
-  std::vector<Graph> worker_graphs_;
+  /// Private copy of the caller's graph; simulate() sets its capacities.
+  Graph graph_;
 
-  mutable std::mutex mu_;
   std::unordered_map<CapVec, Rational, CapVecHash> memo_;
   Rational target_;
   bool has_target_ = false;

@@ -18,14 +18,13 @@ DseWorkload DseWorkload::small() {
   return w;
 }
 
-json::Object dse_run(const DseWorkload& w, int jobs) {
+json::Object dse_run(const DseWorkload& w) {
   df::DseStats stats;
   const auto t0 = std::chrono::steady_clock::now();
 
   (void)chunked_consumer_buffer_sweep(w.sweep_reconfig, w.sweep_per_sample,
                                       w.sweep_sample_period, w.sweep_chunk,
-                                      w.sweep_eta_lo, w.sweep_eta_hi, jobs,
-                                      &stats);
+                                      w.sweep_eta_lo, w.sweep_eta_hi, &stats);
   SharedSystemSpec sys;
   sys.chain.accel_cycles_per_sample = {1, 1};
   sys.chain.entry_cycles_per_sample = 2;
@@ -36,14 +35,13 @@ json::Object dse_run(const DseWorkload& w, int jobs) {
   for (std::size_t s = 0; s < sys.num_streams(); ++s) {
     const Time period = s == 0 ? w.fast_period : w.slow_period;
     (void)min_buffers_for_stream(sys, s, blocks.eta, period,
-                                 /*consumer_chunk=*/1, jobs, &stats);
+                                 /*consumer_chunk=*/1, &stats);
   }
 
   const auto t1 = std::chrono::steady_clock::now();
   const double wall_ms =
       std::chrono::duration<double, std::milli>(t1 - t0).count();
   json::Object run;
-  run["jobs"] = jobs;
   run["wall_ms"] = wall_ms;
   run["simulations"] = stats.simulations;
   run["cache_hits"] = stats.cache_hits;

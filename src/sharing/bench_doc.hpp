@@ -31,10 +31,10 @@ struct DseWorkload {
   [[nodiscard]] static DseWorkload small();
 };
 
-/// Execute the workload once with `jobs` DSE workers and return the
-/// per-run JSON object: {jobs, wall_ms, simulations, cache_hits,
-/// cache_misses, cache_hit_rate, pruned_infeasible, pruned_feasible}.
-[[nodiscard]] json::Object dse_run(const DseWorkload& w, int jobs);
+/// Execute the workload once and return the per-run JSON object:
+/// {wall_ms, simulations, cache_hits, cache_misses, cache_hit_rate,
+/// pruned_infeasible, pruned_feasible}.
+[[nodiscard]] json::Object dse_run(const DseWorkload& w);
 
 /// Assemble the BENCH_dse.json document from per-run objects:
 /// {bench: "dse", hardware_threads, runs: [...]}. Validated by

@@ -128,7 +128,7 @@ std::vector<Rational> block_size_real_relaxation(const SharedSystemSpec& sys) {
 StreamBufferResult min_buffers_for_stream(
     const SharedSystemSpec& sys, std::size_t stream,
     const std::vector<std::int64_t>& etas, Time sample_period,
-    std::int64_t consumer_chunk, int jobs, df::DseStats* stats) {
+    std::int64_t consumer_chunk, df::DseStats* stats) {
   sys.validate();
   ACC_EXPECTS(stream < sys.num_streams());
   ACC_EXPECTS(etas.size() == sys.num_streams());
@@ -159,7 +159,6 @@ StreamBufferResult min_buffers_for_stream(
 
   df::BufferSizingOptions bopt;
   bopt.max_capacity = cap0;
-  bopt.jobs = jobs;
   bopt.stats = stats;
   const df::MultiBufferResult res = df::minimize_total_capacity(
       model.graph, {model.input_buffer, model.output_buffer}, model.consumer,
@@ -173,7 +172,7 @@ StreamBufferResult min_buffers_for_stream(
 OptimalBlockResult optimal_blocks_for_buffers(
     const SharedSystemSpec& sys, const std::vector<Time>& sample_periods,
     std::int64_t eta_slack, const std::vector<std::int64_t>& consumer_chunks,
-    int jobs, df::DseStats* stats) {
+    int /*jobs*/, df::DseStats* stats) {
   sys.validate();
   ACC_EXPECTS(sample_periods.size() == sys.num_streams());
   ACC_EXPECTS(eta_slack >= 0);
@@ -198,7 +197,7 @@ OptimalBlockResult optimal_blocks_for_buffers(
       for (std::size_t s = 0; s < n; ++s) {
         bufs[s] =
             min_buffers_for_stream(sys, s, etas, sample_periods[s], chunks[s],
-                                   jobs, stats);
+                                   stats);
         if (!bufs[s].feasible) return;
         total += bufs[s].total();
       }

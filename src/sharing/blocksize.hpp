@@ -68,13 +68,11 @@ struct StreamBufferResult {
 /// claiming `consumer_chunk` samples atomically per firing (1 = plain
 /// sample-rate consumer; >1 = a downstream block consumer such as the next
 /// gateway stream or a down-sampler — the Fig. 8 non-monotone case).
-/// `jobs` is the DSE worker-thread count (results identical for any value);
 /// `stats` optionally accumulates the engine counters.
 [[nodiscard]] StreamBufferResult min_buffers_for_stream(
     const SharedSystemSpec& sys, std::size_t stream,
     const std::vector<std::int64_t>& etas, Time sample_period,
-    std::int64_t consumer_chunk = 1, int jobs = 1,
-    df::DseStats* stats = nullptr);
+    std::int64_t consumer_chunk = 1, df::DseStats* stats = nullptr);
 
 struct OptimalBlockResult {
   bool feasible = false;
@@ -89,7 +87,9 @@ struct OptimalBlockResult {
 /// describes as "a computationally intensive branch-and-bound algorithm";
 /// the non-monotonicity of buffer sizes in eta (paper Fig. 8) is exactly why
 /// minimal blocks need not give minimal buffers. `consumer_chunks` (empty =
-/// all 1) gives each stream's downstream claim granularity.
+/// all 1) gives each stream's downstream claim granularity. `jobs` is
+/// unused: the buffer searches are sequential. The parameter stays only
+/// because perfbench/perfbench.cpp passes `stats` by position after it.
 [[nodiscard]] OptimalBlockResult optimal_blocks_for_buffers(
     const SharedSystemSpec& sys, const std::vector<Time>& sample_periods,
     std::int64_t eta_slack,

@@ -38,18 +38,17 @@ struct BufferSweepPoint {
 /// firing into a bounded channel; vB (duration `consumer_duration`) consumes
 /// eta tokens per firing. For each eta in [eta_lo, eta_hi], compute the
 /// maximum throughput and the minimal capacity achieving it. All sweeps in
-/// this module take a DSE worker-thread count `jobs` (results identical for
-/// any value) and an optional `stats` accumulator for the engine counters.
+/// this module take an optional `stats` accumulator for the engine counters.
 [[nodiscard]] std::vector<BufferSweepPoint> two_actor_buffer_sweep(
     Time producer_duration, Time consumer_duration, std::int64_t eta_lo,
-    std::int64_t eta_hi, int jobs = 1, df::DseStats* stats = nullptr);
+    std::int64_t eta_hi, df::DseStats* stats = nullptr);
 
 /// Like above but with a consumer whose duration scales with the block:
 /// vB takes `base + per_sample * eta` cycles per firing — the shape of the
 /// paper's shared actor (reconfiguration + pipelined block, Eq. 2).
 [[nodiscard]] std::vector<BufferSweepPoint> scaling_consumer_buffer_sweep(
     Time producer_duration, Time base, Time per_sample, std::int64_t eta_lo,
-    std::int64_t eta_hi, int jobs = 1, df::DseStats* stats = nullptr);
+    std::int64_t eta_hi, df::DseStats* stats = nullptr);
 
 /// The non-monotone case (our Fig. 8 reproduction): the shared actor
 /// (duration reconfig + per_sample*eta, paper Eq. 2) delivers blocks of eta
@@ -61,8 +60,7 @@ struct BufferSweepPoint {
 /// sweep sizes the buffer for the fixed target rate 1/sample_period.
 [[nodiscard]] std::vector<BufferSweepPoint> chunked_consumer_buffer_sweep(
     Time reconfig, Time per_sample, Time sample_period, std::int64_t chunk,
-    std::int64_t eta_lo, std::int64_t eta_hi, int jobs = 1,
-    df::DseStats* stats = nullptr);
+    std::int64_t eta_lo, std::int64_t eta_hi, df::DseStats* stats = nullptr);
 
 /// One row of the gateway-system sweep: minimum alpha0+alpha3 for stream
 /// `stream` when its block size is forced to eta (other streams at their
@@ -77,8 +75,7 @@ struct GatewayBufferPoint {
 
 [[nodiscard]] std::vector<GatewayBufferPoint> gateway_buffer_sweep(
     const SharedSystemSpec& sys, std::size_t stream, Time sample_period,
-    std::int64_t eta_lo, std::int64_t eta_hi, int jobs = 1,
-    df::DseStats* stats = nullptr);
+    std::int64_t eta_lo, std::int64_t eta_hi, df::DseStats* stats = nullptr);
 
 /// True iff the min_capacity sequence both rises and falls somewhere —
 /// the paper's headline observation.

@@ -20,7 +20,7 @@ namespace {
 json::Value small_dse_doc() {
   json::Array runs;
   runs.push_back(
-      json::Value(sharing::dse_run(sharing::DseWorkload::small(), 1)));
+      json::Value(sharing::dse_run(sharing::DseWorkload::small())));
   return sharing::dse_bench_doc(std::move(runs));
 }
 

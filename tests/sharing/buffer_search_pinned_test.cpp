@@ -10,6 +10,7 @@
 #include <string>
 
 #include "dataflow/buffer_sizing.hpp"
+#include "sharing/bench_doc.hpp"
 #include "sharing/blocksize.hpp"
 #include "sharing/serialize.hpp"
 
@@ -82,6 +83,17 @@ TEST(BufferSearchPinned, PalDecoderDemonstratorAtSlackZero) {
   expect_pinned({"pal_decoder.json", 0, {2654, 2654, 332, 332},
                  {5308, 5308, 5308, 5308, 664, 664, 664, 664}, 23888, 104,
                  1560418});
+}
+
+TEST(BufferSearchPinned, BenchDseWorkloadCounters) {
+  // The workload bench_perf_analysis writes to BENCH_dse.json: the
+  // chunked-consumer Fig. 8 sweep plus the two-stream gateway sizing.
+  const json::Object run = dse_run(DseWorkload{});
+  EXPECT_EQ(run.at("simulations").as_int(), 101);
+  EXPECT_EQ(run.at("cache_hits").as_int(), 6);
+  EXPECT_EQ(run.at("cache_misses").as_int(), 101);
+  EXPECT_EQ(run.at("pruned_infeasible").as_int(), 16);
+  EXPECT_EQ(run.at("pruned_feasible").as_int(), 0);
 }
 
 }  // namespace
